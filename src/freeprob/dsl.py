@@ -29,8 +29,9 @@ from fractions import Fraction
 from .errors import FreeprobError, ParseError, ValidationError
 from .fock import FockModel, PolySpace, TimeComponent, verify_levy_axioms
 from .freeness import free_product
-from .functionals import moments_to_cumulants
+from .functionals import MomentFunctional, moments_to_cumulants
 from .infdiv import check_infdiv
+from .jsonio import functional_to_dict
 from .limits import poisson_limit_check
 from .models import (
     bernoulli,
@@ -579,7 +580,9 @@ class EvalResult:
 
     def to_json_dict(self):
         payload = self.value
-        if hasattr(payload, "to_json_dict"):
+        if isinstance(payload, MomentFunctional):
+            payload = functional_to_dict(payload)
+        elif hasattr(payload, "to_json_dict"):
             payload = payload.to_json_dict()
         elif isinstance(payload, Fraction):
             payload = str(payload)

@@ -7,19 +7,58 @@ fractions.Fraction throughout; floats entering through ``as_scalar`` are
 promoted to their exact binary rational, so no arithmetic here ever rounds.
 
 The two transforms are inverse bijections between moment tables and
-cumulant tables.  Both are computed by summing over the non-crossing
-partition lattice, organized by the block containing the first letter so
-that every factor is a table lookup (the gaps such a block leaves are
-contiguous).  The literal one-word lattice sums, ``cumulant_mobius_sum``
-and ``moment_lattice_sum``, are kept as an independent slow route and the
-two routes are checked against each other in the test suite.
+cumulant tables.  Both sum over the non-crossing partition lattice
+organized by the block containing the first letter (Nica-Speicher,
+*Lectures on the Combinatorics of Free Probability*, Lect. 11): with the
+block's positions fixed, the rest of the partition falls into the
+contiguous gaps the block leaves, so
+
+    phi(w) = sum over blocks B containing position 1 of
+             kappa(w|B) * product over the gaps G of B of phi(w|G).
+
+One private kernel, ``_transform``, runs this recursion in both
+directions.  Cumulants to moments adds every term; moments to cumulants
+solves for kappa(w), the term with B the whole word, and subtracts the
+others.
+
+*Level broadcast.*  The words of length n form one numpy object array of
+shape (k,)*n, the letter at position i on axis i.  For one split (B and
+its gaps), the cumulant level of length |B| spread over the axes in B,
+and each gap's moment level spread over its own axes, multiply by
+broadcasting into a full level.  The product is then added to or
+subtracted from level n, so each split costs a few array operations for
+all k**n words at once.  With one letter every level is a single word,
+held as a plain int: there the array calls would cost more than the
+arithmetic.
+
+*Graded integers.*  The recursion is homogeneous in word length: the
+block and gap lengths of a split add up to n.  Each level is therefore
+held as integers over one common denominator d_n, and divided by it
+once at the end.  That avoids the gcd and the object churn of every
+Fraction operation.  On the given side d_n is the lcm of the level's
+denominators.  On the derived side it is the lcm of d_n of the given
+level and of every split's product of its block's and gaps' d_n; where
+that product is a proper divisor of d_n, the block level is scaled up
+by the quotient first.  Every d_n divides D**n for any D that makes
+each v * D**|w| an integer, so the graded integers are never longer
+than under one table-wide D.  They are often much shorter:
+pairwise-coprime denominators do not pile up across levels, and the
+denominators that grow with word length in the tables the kernel
+returns need no factoring to grade well.
+
+The literal one-word lattice sums, ``cumulant_mobius_sum`` and
+``moment_lattice_sum``, are kept as an independent slow route, and the
+test suite checks the two routes against each other.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import CapacityError, DomainError, StructuralError, ValidationError
 from .partitions import NcPartition, enumerate_nc, full, mobius
@@ -242,32 +281,30 @@ class CumulantFunctional(_WordTable):
         return self._lookup(word)
 
 
-def block_moment_product(mf, word, partition):
-    """Product over the blocks of a non-crossing partition of the moments
-    of the corresponding subwords."""
+def _block_product(value, word, partition):
+    """Product over the blocks of a non-crossing partition of ``value``
+    on the corresponding subwords."""
     w = tuple(word)
     if not isinstance(partition, NcPartition) or partition.n != len(w):
         raise StructuralError("partition does not match word length %d" % len(w))
     out = Fraction(1)
     for block in partition.blocks:
-        out *= mf.moment(tuple(w[i - 1] for i in block))
+        out *= value(tuple(w[i - 1] for i in block))
         if not out:
             return out
     return out
+
+
+def block_moment_product(mf, word, partition):
+    """Product over the blocks of a non-crossing partition of the moments
+    of the corresponding subwords."""
+    return _block_product(mf.moment, word, partition)
 
 
 def block_cumulant_product(cf, word, partition):
     """Product over the blocks of a non-crossing partition of the
     cumulants of the corresponding subwords."""
-    w = tuple(word)
-    if not isinstance(partition, NcPartition) or partition.n != len(w):
-        raise StructuralError("partition does not match word length %d" % len(w))
-    out = Fraction(1)
-    for block in partition.blocks:
-        out *= cf.cumulant(tuple(w[i - 1] for i in block))
-        if not out:
-            return out
-    return out
+    return _block_product(cf.cumulant, word, partition)
 
 
 @lru_cache(maxsize=None)
@@ -287,6 +324,91 @@ def _first_block_splits(n):
     return tuple(splits)
 
 
+def _level_array(values, k, n):
+    """One word level as an object array of shape (k,)*n, with the letter
+    at position i on axis i; None when every value is zero.  A
+    one-letter alphabet has one word per level, held as the int itself."""
+    if not any(values):
+        return None
+    if k == 1:
+        return values[0]
+    out = np.empty(len(values), dtype=object)
+    out[:] = values
+    return out.reshape((k,) * n)
+
+
+def _spread(level, axes, n, k):
+    """A level laid along the given axes of an n-axis array, size 1 on
+    the others, so that factors on disjoint axes multiply by
+    broadcasting into one word level."""
+    if k == 1:
+        return level
+    shape = [1] * n
+    for i in axes:
+        shape[i] = k
+    return level.reshape(shape)
+
+
+def _transform(table, k, order, to_cumulants):
+    """The first-block recursion in either direction, a word level at a
+    time, on integers graded by one denominator per level.
+
+    ``table`` is the given side: moments when ``to_cumulants``, else
+    cumulants.  Returns the other side as a word -> Fraction dict.
+    """
+    given, given_den = [None], [1]
+    for n in range(1, order + 1):
+        values = [table[w] for w in iter_words(k, n)]
+        d = math.lcm(*{v.denominator for v in values})
+        given_den.append(d)
+        graded = [v.numerator * (d // v.denominator) for v in values]
+        given.append(_level_array(graded, k, n))
+    derived, derived_den = [None], [1]
+    # the block of a split is a cumulant, each gap a moment
+    blocks, gaps = (derived, given) if to_cumulants else (given, derived)
+    block_den, gap_den = (
+        (derived_den, given_den) if to_cumulants else (given_den, derived_den)
+    )
+    for n in range(1, order + 1):
+        terms = []
+        for block, split_gaps in _first_block_splits(n):
+            if len(block) == n:
+                continue  # the given entry itself
+            lengths = [b - a for a, b in split_gaps]
+            if blocks[len(block)] is None or any(gaps[m] is None for m in lengths):
+                continue
+            den = block_den[len(block)]
+            for m in lengths:
+                den *= gap_den[m]
+            terms.append((block, split_gaps, den))
+        d = math.lcm(given_den[n], *(den for _, _, den in terms))
+        level = 0 if given[n] is None else given[n] * (d // given_den[n])
+        for block, split_gaps, den in terms:
+            block_level = blocks[len(block)]
+            if den != d:
+                block_level = block_level * (d // den)
+            term = _spread(block_level, block, n, k)
+            for a, b in split_gaps:
+                term = term * _spread(gaps[b - a], range(a, b), n, k)
+            if to_cumulants:
+                level -= term
+            else:
+                level += term
+        nonzero = level.any() if isinstance(level, np.ndarray) else level != 0
+        derived.append(level if nonzero else None)
+        derived_den.append(d)
+    out = {}
+    for n in range(1, order + 1):
+        words = iter_words(k, n)
+        if derived[n] is None:
+            out.update((w, Fraction(0)) for w in words)
+            continue
+        d = derived_den[n]
+        values = derived[n].ravel().tolist() if k > 1 else [derived[n]]
+        out.update(zip(words, (Fraction(v, d) for v in values)))
+    return out
+
+
 def moments_to_cumulants(mf):
     """Invert the moment table into the cumulant table.
 
@@ -296,23 +418,7 @@ def moments_to_cumulants(mf):
     """
     if not isinstance(mf, MomentFunctional):
         raise StructuralError("expected a MomentFunctional")
-    k = mf.arity
-    kappa = {}
-    phi = mf._table
-    for n in range(1, mf.order + 1):
-        splits = [s for s in _first_block_splits(n) if len(s[0]) < n]
-        for w in iter_words(k, n):
-            acc = phi[w]
-            for block, gaps in splits:
-                term = kappa[tuple(w[i] for i in block)]
-                if not term:
-                    continue
-                for a, b in gaps:
-                    term *= phi[w[a:b]]
-                    if not term:
-                        break
-                acc -= term
-            kappa[w] = acc
+    kappa = _transform(mf._table, mf.arity, mf.order, True)
     return CumulantFunctional(mf.alphabet, mf.order, kappa)
 
 
@@ -322,23 +428,7 @@ def cumulants_to_moments(cf):
     of moments_to_cumulants."""
     if not isinstance(cf, CumulantFunctional):
         raise StructuralError("expected a CumulantFunctional")
-    k = cf.arity
-    kappa = cf._table
-    phi = {}
-    for n in range(1, cf.order + 1):
-        splits = _first_block_splits(n)
-        for w in iter_words(k, n):
-            acc = Fraction(0)
-            for block, gaps in splits:
-                term = kappa[tuple(w[i] for i in block)]
-                if not term:
-                    continue
-                for a, b in gaps:
-                    term *= phi[w[a:b]]
-                    if not term:
-                        break
-                acc += term
-            phi[w] = acc
+    phi = _transform(cf._table, cf.arity, cf.order, False)
     return MomentFunctional(cf.alphabet, cf.order, phi)
 
 

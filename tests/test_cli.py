@@ -14,6 +14,7 @@ from freeprob.cli import main
 from freeprob.functionals import cumulants_to_moments, moments_to_cumulants
 from freeprob.jsonio import (
     dumps_canonical,
+    functional_from_dict,
     functional_to_dict,
     load_schema,
     read_functional,
@@ -327,6 +328,15 @@ def test_run_script(tmp_path, capsys):
     payload = json.loads(out)
     assert [p["kind"] for p in payload] == ["let", "let", "free", "phi", "kappa"]
     assert payload[3]["result"] == "1"
+
+
+def test_run_demo_session_json(capsys):
+    code, out, _ = run_cli(capsys, "run", str(REPO_ROOT / "demos" / "session.fp"), "--json")
+    assert code == 0
+    payload = json.loads(out)
+    (moments,) = [p for p in payload if p["kind"] == "moments"]
+    assert moments["statement"] == "moments(s, order=4)"
+    assert functional_from_dict(moments["result"]) == semicircle(2, 4, name="s")
 
 
 def test_run_stdin(monkeypatch, capsys):

@@ -204,3 +204,56 @@ def test_first_word_cumulant_matches_lattice_sum_property(mf):
     cf = moments_to_cumulants(mf)
     w = next(iter(mf.words(mf.order)))
     assert cumulant_mobius_sum(mf, w) == cf.cumulant(w)
+
+
+# Denominator families for the transform kernel: small denominators,
+# shared powers of one base (as in tracial states built from matrices),
+# pairwise-coprime primes, and float-derived binary fractions down to
+# 2**-1000; every family mixes in zero entries.
+PRIMES = [p for p in range(2, 2000) if all(p % q for q in range(2, int(p**0.5) + 1))]
+
+
+@st.composite
+def family_tables(draw):
+    k = draw(st.integers(min_value=1, max_value=3))
+    order = draw(st.integers(min_value=1, max_value=5))
+    base = draw(st.integers(min_value=2, max_value=6))
+    numer = st.integers(-9, 9)
+    family = draw(
+        st.sampled_from(
+            [
+                st.builds(F, numer, st.integers(1, 9)),
+                st.builds(lambda a, e: F(a, base**e), numer, st.integers(0, 6)),
+                st.builds(F, numer, st.sampled_from(PRIMES)),
+                st.builds(
+                    lambda m, e: F(m, 2**e),
+                    st.integers(-(2**53), 2**53),
+                    st.integers(0, 1000),
+                ),
+            ]
+        )
+    )
+    values = st.one_of(st.just(F(0)), family)
+    table = {w: draw(values) for w in iter_words_upto(k, order)}
+    return k, order, table
+
+
+@settings(max_examples=40, deadline=None)
+@given(family_tables())
+def test_moments_to_cumulants_matches_mobius_sums_property(data):
+    k, order, table = data
+    mf = MomentFunctional(tuple("abc"[:k]), order, table)
+    cf = moments_to_cumulants(mf)
+    for w in mf.words():
+        assert cf.cumulant(w) == cumulant_mobius_sum(mf, w), w
+
+
+@settings(max_examples=40, deadline=None)
+@given(family_tables())
+def test_cumulants_to_moments_matches_lattice_sums_property(data):
+    k, order, table = data
+    cf = CumulantFunctional(tuple("abc"[:k]), order, table)
+    mf = cumulants_to_moments(cf)
+    for w in cf.words():
+        assert mf.moment(w) == moment_lattice_sum(cf, w), w
+
