@@ -21,17 +21,15 @@ are deterministic for identical inputs.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
 from .dsl import Session, run_source
 from .errors import FreeprobError, ParseError, ValidationError
-from .fock import FockModel, PolySpace, TimeComponent, verify_levy_axioms
+from .fock import build_fock_model, verify_levy_axioms
 from .functionals import (
     CumulantFunctional,
     MomentFunctional,
-    as_scalar,
     cumulants_to_moments,
     moments_to_cumulants,
 )
@@ -41,6 +39,7 @@ from .jsonio import (
     functional_from_dict,
     functional_to_dict,
     read_functional,
+    read_json,
     write_functional,
 )
 from .limits import (
@@ -239,16 +238,6 @@ def _cmd_model(args):
 # -- limit ------------------------------------------------------------------
 
 
-def _load_json(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ParseError("cannot read %s: %s" % (path, exc)) from None
-    except json.JSONDecodeError as exc:
-        raise ParseError("%s is not valid JSON: %s" % (path, exc)) from None
-
-
 def _spec_scalar(spec, key, default=None):
     if key not in spec:
         if default is None:
@@ -283,7 +272,7 @@ def _spec_list(spec, key, required=True):
 
 
 def _cmd_limit(args):
-    spec = _load_json(args.spec)
+    spec = read_json(args.spec)
     if not isinstance(spec, dict):
         raise ParseError("limit spec must be a JSON object")
     if args.kind == "poisson":
@@ -354,21 +343,22 @@ def _cmd_infdiv(args):
 # -- fock -------------------------------------------------------------------
 
 
+def _read_cumulants(path):
+    table = read_functional(path)
+    if isinstance(table, MomentFunctional):
+        return moments_to_cumulants(table)
+    return table
+
+
 def _cmd_fock(args):
-    table = read_functional(args.infile)
-    cf = (
-        moments_to_cumulants(table)
-        if isinstance(table, MomentFunctional)
-        else table
-    )
+    cf = _read_cumulants(args.infile)
     need = 2 * args.order + 1
     if cf.order < need:
         raise ValidationError(
             "verifying at order %d needs a table of order >= %d, file has %d"
             % (args.order, need, cf.order)
         )
-    poly = PolySpace(cf, args.order)
-    model = FockModel(poly, TimeComponent((0, 1)), args.order)
+    model = build_fock_model(cf, args.order, args.order)
     report = verify_levy_axioms(model, args.order)
     if args.json:
         _emit_json(report.to_json_dict())
@@ -381,12 +371,7 @@ def _cmd_fock(args):
 
 
 def _cmd_approx(args):
-    table = read_functional(args.target)
-    cf = (
-        moments_to_cumulants(table)
-        if isinstance(table, MomentFunctional)
-        else table
-    )
+    cf = _read_cumulants(args.target)
     result = poisson_approximation(cf, args.j, order=args.order)
     if args.json:
         _emit_json(result.to_json_dict())
@@ -417,7 +402,7 @@ def _cmd_run(args):
                 source = fh.read()
         except OSError as exc:
             raise ParseError("cannot read %s: %s" % (args.script, exc)) from None
-    session = Session(order=args.order) if args.order else Session()
+    session = Session(order=args.order)
     results = run_source(source, session)
     if args.json:
         _emit_json([r.to_json_dict() for r in results])

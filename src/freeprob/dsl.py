@@ -23,11 +23,11 @@ recovery.  Pretty-printing an AST and reparsing reproduces it exactly.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FreeprobError, ParseError, ValidationError
-from .fock import FockModel, PolySpace, TimeComponent, verify_levy_axioms
+from .fock import build_fock_model, verify_levy_axioms
 from .freeness import free_product
 from .functionals import MomentFunctional, moments_to_cumulants
 from .infdiv import check_infdiv
@@ -64,6 +64,19 @@ CONSTRUCTORS = (
     "projection",
     "bernoulli",
 )
+
+
+# one-variable constructors: (function, ((parameter, default), ...)); the
+# function takes its parameters in this order, then the order and the name
+_ONE_VARIABLE_CTORS = {
+    "semicircle": (semicircle, (("radius", Fraction(2)),)),
+    "free_poisson": (free_poisson, (("lambda", Fraction(1)), ("alpha", Fraction(1)))),
+    "projection": (projection_functional, (("t", Fraction(1, 2)),)),
+    "bernoulli": (
+        bernoulli,
+        (("t", Fraction(1, 2)), ("alpha", Fraction(1)), ("beta", Fraction(-1))),
+    ),
+}
 
 
 class DslSyntaxError(ParseError):
@@ -250,10 +263,6 @@ class _Parser:
             self.fail(expected)
         return self.advance()
 
-    def at_keyword(self, word):
-        tok = self.peek()
-        return tok.kind == "IDENT" and tok.text == word
-
     # -- program ----------------------------------------------------------
 
     def parse_program(self):
@@ -405,12 +414,7 @@ class _Parser:
         while True:
             tok = self.peek()
             if tok.kind in ("INT", "MINUS") and (not saw_factor or tok.kind == "INT"):
-                if tok.kind == "MINUS" and not saw_factor:
-                    value = self.parse_rational()
-                elif tok.kind == "INT":
-                    value = self.parse_rational()
-                else:
-                    break
+                value = self.parse_rational()
                 poly = [Term(t.coeff * value, t.word) for t in poly]
             elif tok.kind == "IDENT" and tok.text not in STATEMENT_KEYWORDS:
                 name = self.advance().text
@@ -632,8 +636,13 @@ class Session:
 
     def __init__(self, order=None):
         if order is None:
-            raw = os.environ.get(ENV_ORDER_CAP, "")
-            order = int(raw) if raw.strip() else DEFAULT_ORDER
+            raw = os.environ.get(ENV_ORDER_CAP, "").strip()
+            try:
+                order = int(raw) if raw else DEFAULT_ORDER
+            except ValueError:
+                raise ValidationError(
+                    "%s must be an integer, got %r" % (ENV_ORDER_CAP, raw)
+                ) from None
         if not 1 <= order <= HARD_ORDER_CAP:
             raise ValidationError(
                 "session order must lie in 1..%d" % HARD_ORDER_CAP
@@ -695,41 +704,14 @@ class Session:
         if len(set(names)) != len(names):
             raise DslEvalError("repeated name in let")
         ctor = stmt.ctor
-        if ctor == "semicircle":
-            params = _positional_names(stmt.args, ("radius",), ctor)
-            radius = params.get("radius", RatVal(Fraction(2)))
-            r = _want_rational(radius, "radius")
-            self._expect_arity(names, 1, ctor)
-            self._bind_group(
-                names, lambda order, r=r: semicircle(r, order, name=names[0])
+        if ctor in _ONE_VARIABLE_CTORS:
+            fn, defaults = _ONE_VARIABLE_CTORS[ctor]
+            params = _positional_names(stmt.args, tuple(p for p, _ in defaults), ctor)
+            values = tuple(
+                _want_rational(params.get(p, RatVal(d)), p) for p, d in defaults
             )
-        elif ctor == "free_poisson":
-            params = _positional_names(stmt.args, ("lambda", "alpha"), ctor)
-            lam = _want_rational(params.get("lambda", RatVal(Fraction(1))), "lambda")
-            alpha = _want_rational(params.get("alpha", RatVal(Fraction(1))), "alpha")
             self._expect_arity(names, 1, ctor)
-            self._bind_group(
-                names,
-                lambda order: free_poisson(lam, alpha, order, name=names[0]),
-            )
-        elif ctor == "projection":
-            params = _positional_names(stmt.args, ("t",), ctor)
-            t = _want_rational(params.get("t", RatVal(Fraction(1, 2))), "t")
-            self._expect_arity(names, 1, ctor)
-            self._bind_group(
-                names,
-                lambda order: projection_functional(t, order, name=names[0]),
-            )
-        elif ctor == "bernoulli":
-            params = _positional_names(stmt.args, ("t", "alpha", "beta"), ctor)
-            t = _want_rational(params.get("t", RatVal(Fraction(1, 2))), "t")
-            a = _want_rational(params.get("alpha", RatVal(Fraction(1))), "alpha")
-            b = _want_rational(params.get("beta", RatVal(Fraction(-1))), "beta")
-            self._expect_arity(names, 1, ctor)
-            self._bind_group(
-                names,
-                lambda order: bernoulli(t, a, b, order, name=names[0]),
-            )
+            self._bind_group(names, lambda order: fn(*values, order, name=names[0]))
         elif ctor == "semicircle_family":
             params = _positional_names(stmt.args, ("cov",), ctor)
             if "cov" not in params:
@@ -820,6 +802,15 @@ class Session:
 
     # -- queries ----------------------------------------------------------
 
+    def _order_param(self, params):
+        """A query's ``order=`` argument, or the session order without one."""
+        if "order" not in params:
+            return self.order
+        order = _want_int(params["order"], "order")
+        if not 1 <= order <= HARD_ORDER_CAP:
+            raise DslEvalError("order must lie in 1..%d" % HARD_ORDER_CAP)
+        return order
+
     def _exec_phi(self, stmt):
         total = Fraction(0)
         for term in stmt.terms:
@@ -852,11 +843,7 @@ class Session:
         letters = tuple(group.letter(n) for n in stmt.names)
         if stmt.kind == "moments":
             params = _positional_names(stmt.args, ("order",), "moments")
-            order = self.order
-            if "order" in params:
-                order = _want_int(params["order"], "order")
-                if not 1 <= order <= HARD_ORDER_CAP:
-                    raise DslEvalError("order must lie in 1..%d" % HARD_ORDER_CAP)
+            order = self._order_param(params)
             mf = group.functional(order).restrict(letters).relabel(stmt.names)
             lines = [
                 "phi(%s) = %s" % (mf.word_name(w), v) for w, v in mf.items()
@@ -888,8 +875,7 @@ class Session:
                 raise DslEvalError("levy_check order must lie in 1..4")
             need = 2 * order + 1
             mf = group.functional(need).restrict(letters).relabel(stmt.names)
-            poly = PolySpace(moments_to_cumulants(mf), order)
-            model = FockModel(poly, TimeComponent((0, 1)), order)
+            model = build_fock_model(moments_to_cumulants(mf), order, order)
             report = verify_levy_axioms(model, order)
             return EvalResult(
                 stmt,
@@ -911,11 +897,7 @@ class Session:
         )
         lam = _want_rational(params.get("lambda", RatVal(Fraction(1))), "lambda")
         alpha = _want_rational(params.get("alpha", RatVal(Fraction(1))), "alpha")
-        order = self.order
-        if "order" in params:
-            order = _want_int(params["order"], "order")
-            if not 1 <= order <= HARD_ORDER_CAP:
-                raise DslEvalError("order must lie in 1..%d" % HARD_ORDER_CAP)
+        order = self._order_param(params)
         schedule = (10, 100, 1000)
         if "schedule" in params:
             val = params["schedule"]

@@ -35,7 +35,6 @@ from .functionals import (
     MomentFunctional,
     as_scalar,
     cumulants_to_moments,
-    iter_words_upto,
     moments_to_cumulants,
 )
 from .infdiv import gram_matrix, monomial_basis, psd_certificate
@@ -365,8 +364,7 @@ class FockModel:
         return MomentFunctional(tuple(names), order, table)
 
 
-def build_poly_space(cf, d_H, tolerance=DEFAULT_PIVOT_TOLERANCE):
-    return PolySpace(cf, d_H, tolerance)
+build_poly_space = PolySpace
 
 
 def build_fock_model(cf, d_H, n_max, endpoints=(0, 1), max_dim=60000):

@@ -50,11 +50,6 @@ def free_product(families, order=None):
     if len(set(names)) != len(names):
         raise StructuralError("alphabet collision between families: %r" % (names,))
 
-    offsets = []
-    acc = 0
-    for mf in families:
-        offsets.append(acc)
-        acc += mf.arity
     owner = []  # letter index in the union -> (family position, local letter)
     for fam, mf in enumerate(families):
         for c in range(1, mf.arity + 1):
@@ -64,7 +59,7 @@ def free_product(families, order=None):
 
     zero = Fraction(0)
     table = {}
-    for w in iter_words_upto(acc, order):
+    for w in iter_words_upto(len(names), order):
         fam0, c0 = owner[w[0] - 1]
         local = [c0]
         pure = True

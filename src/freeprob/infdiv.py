@@ -291,12 +291,7 @@ class InfdivVerdict:
 
 def check_infdiv(functional, k=None, degree=1, tolerance=0):
     """Run the divisibility certificate on a moment or cumulant table."""
-    cf = (
-        moments_to_cumulants(functional)
-        if isinstance(functional, MomentFunctional)
-        else functional
-    )
-    gram = gram_matrix(cf, k=k, degree=degree)
+    gram = gram_matrix(functional, k=k, degree=degree)
     cert = psd_certificate(gram.row_lists(), tolerance)
     names = [" ".join(gram.alphabet[c - 1] for c in w) for w in gram.words]
     pivot_trace = tuple((names[i], v) for i, v in cert.pivots)

@@ -79,7 +79,7 @@ def functional_from_dict(data):
     if not isinstance(names, list) or not names:
         _fail("vars must be a non-empty list")
     order = data.get("order")
-    if not isinstance(order, int) or order < 1:
+    if not isinstance(order, int) or isinstance(order, bool) or order < 1:
         _fail("order must be a positive integer")
     raw = data.get("table")
     if not isinstance(raw, dict):
@@ -119,15 +119,20 @@ def dumps_canonical(payload):
     return json.dumps(payload, indent=2, ensure_ascii=True) + "\n"
 
 
-def read_functional(path):
+def read_json(path):
+    """The parsed contents of a JSON file; unreadable or invalid files
+    raise ParseError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ParseError("cannot read %s: %s" % (path, exc)) from None
     except json.JSONDecodeError as exc:
         raise ParseError("%s is not valid JSON: %s" % (path, exc)) from None
-    return functional_from_dict(data)
+
+
+def read_functional(path):
+    return functional_from_dict(read_json(path))
 
 
 def write_functional(path, table):

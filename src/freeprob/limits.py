@@ -48,20 +48,19 @@ def dilate(cf, t):
     )
 
 
-def array_cumulants(row_mf, size_n, order=None):
-    """Joint cumulants of the row sums of N free copies of the row
-    functional: N times the row cumulants, exactly."""
+def _row_order(row_mf, size_n, order):
     if not isinstance(row_mf, MomentFunctional):
         raise StructuralError("row must be a MomentFunctional")
     if size_n < 1:
         raise ValidationError("N must be >= 1")
-    if order is None:
-        order = row_mf.order
-    row_cf = moments_to_cumulants(row_mf.truncate(order))
-    n = Fraction(size_n)
-    return CumulantFunctional(
-        row_cf.alphabet, order, row_cf._map_values(lambda w, v: n * v)
-    )
+    return row_mf.order if order is None else order
+
+
+def array_cumulants(row_mf, size_n, order=None):
+    """Joint cumulants of the row sums of N free copies of the row
+    functional: N times the row cumulants, exactly."""
+    order = _row_order(row_mf, size_n, order)
+    return dilate(moments_to_cumulants(row_mf.truncate(order)), size_n)
 
 
 def free_sum_moments(row_mf, size_n, order=None):
@@ -69,12 +68,7 @@ def free_sum_moments(row_mf, size_n, order=None):
     product of N relabeled copies and expand each word of sums into N^n
     moment terms.  Independent of the scaling shortcut; exponential in the
     order, intended for cross-validation at small N."""
-    if not isinstance(row_mf, MomentFunctional):
-        raise StructuralError("row must be a MomentFunctional")
-    if size_n < 1:
-        raise ValidationError("N must be >= 1")
-    if order is None:
-        order = row_mf.order
+    order = _row_order(row_mf, size_n, order)
     k = row_mf.arity
     copies = [
         row_mf.truncate(order).relabel(
@@ -199,7 +193,10 @@ def _build_report(kind, schedule, order, arity, per_n_tables, target_fn, word_na
     )
 
 
-def _check_schedule(schedule, lower):
+def _check_schedule(schedule, spec, model):
+    lower = ceil(spec.sup_rate)
+    if model == "orthogonal":
+        lower = max(lower, ceil(sum(spec.rates)))
     sched = [int(n) for n in schedule]
     if not sched:
         raise ValidationError("empty schedule")
@@ -208,24 +205,6 @@ def _check_schedule(schedule, lower):
             "every N in the schedule must be >= %d" % lower
         )
     return sched
-
-
-def poisson_limit_check(rate, jump, schedule, order):
-    """Sums of N free scaled projections against the free Poisson limit
-    kappa_m = rate * jump^m, along the schedule of sizes."""
-    spec = PoissonSpec.of([rate], [jump])
-    lam, alpha = spec.rates[0], spec.jumps[0]
-    sched = _check_schedule(schedule, ceil(lam))
-    tables = []
-    for n in sched:
-        row = projection_family([lam], n, order, "equal", names=("x",))
-        tables.append(array_cumulants(row.scale_letters([alpha]), n, order))
-
-    def target(w):
-        return lam * alpha ** len(w)
-
-    namer = tables[0].word_name
-    return _build_report("poisson", sched, order, 1, tables, target, namer)
 
 
 def _projection_limit_target(spec, model):
@@ -244,6 +223,30 @@ def _projection_limit_target(spec, model):
     return target
 
 
+def _projection_report(kind, spec, model, schedule, order, names):
+    sched = _check_schedule(schedule, spec, model)
+    tables = []
+    for n in sched:
+        row = projection_family(spec.rates, n, order, model, names=names)
+        tables.append(array_cumulants(row.scale_letters(spec.jumps), n, order))
+    return _build_report(
+        kind,
+        sched,
+        order,
+        spec.size,
+        tables,
+        _projection_limit_target(spec, model),
+        tables[0].word_name,
+    )
+
+
+def poisson_limit_check(rate, jump, schedule, order):
+    """Sums of N free scaled projections against the free Poisson limit
+    kappa_m = rate * jump^m, along the schedule of sizes."""
+    spec = PoissonSpec.of([rate], [jump])
+    return _projection_report("poisson", spec, "equal", schedule, order, ("x",))
+
+
 def multi_poisson_limit_check(spec, model, schedule, order, names=None):
     """Row of jointly modeled projections, scaled by the jump sizes,
     against the closed-form limit of the coupling: the equal coupling
@@ -251,24 +254,8 @@ def multi_poisson_limit_check(spec, model, schedule, order, names=None):
     kill every mixed word and give the one-variable limit on pure words."""
     if not isinstance(spec, PoissonSpec):
         raise StructuralError("spec must be a PoissonSpec")
-    lower = ceil(spec.sup_rate)
-    if model == "orthogonal":
-        total = sum(spec.rates)
-        lower = max(lower, ceil(total))
-    sched = _check_schedule(schedule, lower)
-    tables = []
-    for n in sched:
-        row = projection_family(spec.rates, n, order, model, names=names)
-        tables.append(array_cumulants(row.scale_letters(spec.jumps), n, order))
-    namer = tables[0].word_name
-    return _build_report(
-        "multi_poisson[%s]" % model,
-        sched,
-        order,
-        spec.size,
-        tables,
-        _projection_limit_target(spec, model),
-        namer,
+    return _projection_report(
+        "multi_poisson[%s]" % model, spec, model, schedule, order, names
     )
 
 
@@ -288,10 +275,7 @@ def compound_limit_check(base, spec, model, schedule, order):
         )
     if order > base.order:
         raise ValidationError("order %d beyond base order %d" % (order, base.order))
-    lower = ceil(spec.sup_rate)
-    if model == "orthogonal":
-        lower = max(lower, ceil(sum(spec.rates)))
-    sched = _check_schedule(schedule, lower)
+    sched = _check_schedule(schedule, spec, model)
     proj_target = _projection_limit_target(spec, model)
     tables = []
     for n in sched:

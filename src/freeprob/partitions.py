@@ -67,11 +67,9 @@ def _block_index(n, blocks):
     return idx
 
 
-def _is_noncrossing_canonical(n, blocks):
+def _find_crossing_pair(n, blocks):
     # Stack scan: walking left to right, a block may only resume while it is
     # the innermost open one.  Linear in n once the block index is built.
-    if len(blocks) <= 1:
-        return True
     idx = _block_index(n, blocks)
     remaining = [len(b) for b in blocks]
     stack = []
@@ -80,14 +78,14 @@ def _is_noncrossing_canonical(n, blocks):
         b = idx[pos]
         if opened[b]:
             if stack[-1] != b:
-                return False
+                return (min(b, stack[-1]), max(b, stack[-1]))
         else:
             opened[b] = True
             stack.append(b)
         remaining[b] -= 1
         while stack and remaining[stack[-1]] == 0:
             stack.pop()
-    return True
+    return None
 
 
 def is_noncrossing(blocks):
@@ -98,7 +96,7 @@ def is_noncrossing(blocks):
     """
     n = sum(len(tuple(b)) for b in blocks)
     canon = _canonical_blocks(n, blocks)
-    return _is_noncrossing_canonical(n, canon)
+    return _find_crossing_pair(n, canon) is None
 
 
 class NcPartition:
@@ -112,7 +110,7 @@ class NcPartition:
 
     def __init__(self, n, blocks):
         canon = _canonical_blocks(n, blocks)
-        if not _is_noncrossing_canonical(n, canon):
+        if _find_crossing_pair(n, canon) is not None:
             raise StructuralError("crossing blocks: %r" % (canon,))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "blocks", canon)
@@ -276,25 +274,6 @@ def join(p, q):
     return NcPartition._trusted(n, tuple(blocks))
 
 
-def _find_crossing_pair(n, blocks):
-    idx = _block_index(n, blocks)
-    remaining = [len(b) for b in blocks]
-    stack = []
-    opened = [False] * len(blocks)
-    for pos in range(1, n + 1):
-        b = idx[pos]
-        if opened[b]:
-            if stack[-1] != b:
-                return (min(b, stack[-1]), max(b, stack[-1]))
-        else:
-            opened[b] = True
-            stack.append(b)
-        remaining[b] -= 1
-        while stack and remaining[stack[-1]] == 0:
-            stack.pop()
-    return None
-
-
 def meet(p, q):
     """Greatest lower bound: blockwise intersection (already non-crossing)."""
     _check_same_ground(p, q)
@@ -353,7 +332,7 @@ def _coarsenings_below_top(blocks, n):
             for group in grouping
         )
         merged = tuple(sorted(merged, key=lambda b: b[0]))
-        if _is_noncrossing_canonical(n, merged):
+        if _find_crossing_pair(n, merged) is None:
             yield merged
 
 

@@ -346,7 +346,7 @@ def test_run_stdin(monkeypatch, capsys):
     assert out.strip() == "phi = 5/6"
 
 
-def test_run_error_codes(tmp_path, capsys):
+def test_run_error_codes(tmp_path, capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "run", str(tmp_path / "absent.fp"))
     assert code == 2
 
@@ -366,6 +366,14 @@ def test_run_error_codes(tmp_path, capsys):
     script.write_text("phi(1)\n")
     code, _, _ = run_cli(capsys, "run", str(script), "--order", "99")
     assert code == 1  # session order cap
+    code, _, err = run_cli(capsys, "run", str(script), "--order", "0")
+    assert code == 1
+    assert "session order" in err
+
+    monkeypatch.setenv("FREEPROB_ORDER_CAP", "abc")
+    code, _, err = run_cli(capsys, "run", str(script))
+    assert code == 1
+    assert "FREEPROB_ORDER_CAP" in err
 
 
 def test_argparse_errors_exit_2(capsys):

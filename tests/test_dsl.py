@@ -308,6 +308,9 @@ def test_session_order_cap(monkeypatch):
     assert Session().order == 6
     monkeypatch.setenv("FREEPROB_ORDER_CAP", "4")
     assert Session().order == 4
+    monkeypatch.setenv("FREEPROB_ORDER_CAP", "abc")
+    with pytest.raises(ValidationError, match="FREEPROB_ORDER_CAP"):
+        Session()
     with pytest.raises(ValidationError):
         Session(order=0)
     with pytest.raises(ValidationError):

@@ -93,6 +93,7 @@ def good_payload():
         (lambda d: d.update(vars=["s", "s"]), "repeated"),
         (lambda d: d.update(vars=["s", "a b"]), "bad variable name"),
         (lambda d: d.update(order="3"), "order"),
+        (lambda d: d.update(order=True), "positive integer"),
         (lambda d: d.update(table=[]), "table"),
         (lambda d: d["table"].update({"s z": "1"}), "unknown variable"),
         (lambda d: d["table"].update({"s": "1.5"}), "not a rational"),

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -64,6 +65,46 @@ def test_crossing_detection_on_larger_ground():
     assert not is_noncrossing([(1, 5), (2, 8), (3,), (4,), (6,), (7,)])
     # nesting is fine
     assert is_noncrossing([(1, 8), (2, 5), (3, 4), (6, 7)])
+
+
+def _set_partitions(n):
+    """Every set partition of {1..n}, from restricted growth strings."""
+
+    def grow(labels):
+        if len(labels) == n:
+            blocks = {}
+            for x, label in enumerate(labels, start=1):
+                blocks.setdefault(label, []).append(x)
+            yield list(blocks.values())
+            return
+        for label in range(max(labels, default=-1) + 2):
+            yield from grow(labels + [label])
+
+    return grow([])
+
+
+def _crosses(blocks):
+    # the definition: a < b < c < d with a, c in one block, b, d in another
+    owner = {x: i for i, block in enumerate(blocks) for x in block}
+    return any(
+        owner[a] == owner[c] != owner[b] == owner[d]
+        for a, b, c, d in itertools.combinations(sorted(owner), 4)
+    )
+
+
+def test_crossing_scan_matches_four_point_definition():
+    for n in range(1, 8):
+        accepted = set()
+        for blocks in _set_partitions(n):
+            noncrossing = not _crosses(blocks)
+            assert is_noncrossing(blocks) == noncrossing, blocks
+            if noncrossing:
+                accepted.add(NcPartition(n, blocks))
+            else:
+                with pytest.raises(StructuralError, match="crossing"):
+                    NcPartition(n, blocks)
+        assert len(accepted) == catalan_number(n)
+        assert accepted == set(enumerate_nc(n))
 
 
 def test_immutable_and_hashable():
