@@ -711,6 +711,7 @@ class Session:
                 _want_rational(params.get(p, RatVal(d)), p) for p, d in defaults
             )
             self._expect_arity(names, 1, ctor)
+            fn(*values, 1, name=names[0])  # bad values fail here, not at a query
             self._bind_group(names, lambda order: fn(*values, order, name=names[0]))
         elif ctor == "semicircle_family":
             params = _positional_names(stmt.args, ("cov",), ctor)

@@ -46,11 +46,15 @@ class PolySpace:
     """Orthonormalized quotient of the monomial span of degree <= d_H.
 
     Built from exact rational data: the cumulant Gram matrix is assembled
-    and eliminated with diagonal pivoting in Fraction arithmetic, pivots
-    below the cutoff count as kernel, and only the final normalization by
-    1/sqrt(pivot) produces floats.  Also carries, per variable, the
-    compressed left multiplication table and the coordinates of X_i
-    itself, which is everything the Fock construction consumes.
+    and eliminated exactly with diagonal pivoting (``psd_certificate``,
+    fraction-free on integers, pivots and basis returned as Fractions),
+    pivots below the cutoff count as kernel, and only the final
+    normalization by 1/sqrt(pivot) produces floats.  Since the cutoff is
+    positive, the PSD check behind a built space is only approximate: the
+    uneliminated block is zero within the cutoff, not exactly.  Also
+    carries, per variable, the compressed left multiplication table and
+    the coordinates of X_i itself, which is everything the Fock
+    construction consumes.
     """
 
     def __init__(self, cf, d_H, tolerance=DEFAULT_PIVOT_TOLERANCE):

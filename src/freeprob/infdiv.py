@@ -4,9 +4,12 @@ A functional is freely infinitely divisible iff its cumulant functional is
 conditionally positive, which at a fixed degree d reduces to positive
 semidefiniteness of the Gram matrix kappa(w . reverse(v)) over all
 monomials w, v of degree 1..d.  The PSD test is a pivoted symmetric
-elimination carried out in exact rational arithmetic: a PASS is evidence
-up to the chosen degree, while a FAIL comes with an explicit rational
-vector v and the exact negative value of v^T G v, i.e. a proof.
+elimination carried out exactly, on integers by fraction-free (Bareiss)
+steps: a PASS is evidence up to the chosen degree, while a FAIL comes with
+an explicit rational vector v and the exact negative value of v^T G v,
+i.e. a proof.  At tolerance 0 a PASS is checkable too, since its basis
+vectors U satisfy U G U^T = diag(pivots) exactly; with a positive
+tolerance a PASS is only approximate.
 
 The same elimination doubles as the rank-revealing decomposition the Fock
 construction needs, so it returns the pivot basis as well.
@@ -15,6 +18,7 @@ construction needs, so it returns the pivot basis as well.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -131,6 +135,14 @@ def _as_symmetric_rows(rows):
     return S
 
 
+_ZERO = Fraction(0)
+
+
+def _over(ints, denominator):
+    """The Fractions x/denominator, with one shared zero."""
+    return tuple(Fraction(x, denominator) if x else _ZERO for x in ints)
+
+
 def psd_certificate(rows, tolerance=0):
     """Exact pivoted LDL-style elimination of a symmetric rational matrix.
 
@@ -138,14 +150,30 @@ def psd_certificate(rows, tolerance=0):
     remaining diagonal below -tolerance, or an off-diagonal coupling that
     admits a vector of negative form value, stops the elimination with an
     exact witness.  Tolerance is applied inside rational arithmetic; 0
-    gives the crisp PSD decision.
+    gives the crisp PSD decision.  A PASS at tolerance 0 is exact: the
+    basis vectors U satisfy U G U^T = diag(pivots) and the rank is the
+    rank of G.  A PASS at a positive tolerance is only approximate, since
+    the block left uneliminated is zero only within the tolerance.
+
+    The elimination is fraction-free (Bareiss 1968): the matrix is scaled
+    to integers by the lcm L of its denominators, and the remaining block
+    and the combination vectors are kept as integers, equal to L*prev and
+    prev times their rational values, where prev is the last pivot's
+    integer entry (1 before the first step).  Every division by prev is
+    exact, and every positive scaling keeps the pivot order and the signs,
+    so pivots, basis vectors and witnesses are the same Fractions a
+    rational elimination gives.
     """
     S = _as_symmetric_rows(rows)
     n = len(S)
     tol = abs(as_scalar(tolerance))
-    vecs = [
-        [Fraction(1) if j == i else Fraction(0) for j in range(n)] for i in range(n)
-    ]
+    scale = math.lcm(*(x.denominator for row in S for x in row))
+    tol_scaled = tol * scale
+    # A and V hold the remaining block and its combination vectors, one
+    # row per index in ``active``, scaled to integers by scale*prev and prev
+    A = [[x.numerator * (scale // x.denominator) for x in row] for row in S]
+    V = [[int(j == i) for j in range(n)] for i in range(n)]
+    prev = 1
     active = list(range(n))
     pivots = []
     basis = []
@@ -161,26 +189,28 @@ def psd_certificate(rows, tolerance=0):
         )
 
     while active:
-        p = max(active, key=lambda i: S[i][i])
-        d = S[p][p]
-        if d > tol:
-            pivots.append((p, d))
-            basis.append((p, tuple(vecs[p]), d))
-            active.remove(p)
-            vp = vecs[p]
-            col = {i: S[i][p] for i in active}
-            for i in active:
-                ci = col[i]
-                if ci:
-                    c = ci / d
-                    vecs[i] = [a - c * b for a, b in zip(vecs[i], vp)]
-                    Si = S[i]
-                    for j in active:
-                        cj = col[j]
-                        if cj:
-                            Si[j] -= ci * cj / d
-            continue
-        # every remaining diagonal is <= tol
+        q = max(range(len(active)), key=lambda r: A[r][r])
+        a = A[q][q]
+        if a <= tol_scaled * prev:
+            break
+        d = Fraction(a, scale * prev)
+        pivots.append((active[q], d))
+        basis.append((active[q], _over(V[q], prev), d))
+        del active[q]
+        Ap, Vp = A.pop(q), V.pop(q)
+        del Ap[q]
+        for r, row in enumerate(A):
+            c = row.pop(q)
+            A[r] = [(a * x - c * y) // prev for x, y in zip(row, Ap)]
+            V[r] = [(a * x - c * y) // prev for x, y in zip(V[r], Vp)]
+        prev = a
+    if active:
+        # every remaining diagonal is <= tol: back to rationals once
+        S = {
+            i: dict(zip(active, _over(row, scale * prev)))
+            for i, row in zip(active, A)
+        }
+        vecs = {i: _over(v, prev) for i, v in zip(active, V)}
         neg = min(active, key=lambda i: S[i][i])
         if S[neg][neg] < -tol:
             return fail(vecs[neg], S[neg][neg])
@@ -220,7 +250,6 @@ def psd_certificate(rows, tolerance=0):
             if value < -tol:
                 return fail(vec, value)
         # remaining block is zero within tolerance: PSD
-        break
     return PivotedDecomposition(
         psd=True,
         pivots=tuple(pivots),

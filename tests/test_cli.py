@@ -362,6 +362,18 @@ def test_run_error_codes(tmp_path, capsys, monkeypatch):
     assert code == 1
     assert "unbound" in err
 
+    for source in (
+        "let p = projection(2)",
+        "let x = free_poisson(lambda=-1)",
+        "let s = semicircle(0)",
+        "let b = bernoulli(t=2)",
+    ):
+        bad_value = tmp_path / "bad_value.fp"
+        bad_value.write_text(source + "\n")
+        code, _, err = run_cli(capsys, "run", str(bad_value))
+        assert code == 1
+        assert source in err
+
     script = tmp_path / "fine.fp"
     script.write_text("phi(1)\n")
     code, _, _ = run_cli(capsys, "run", str(script), "--order", "99")

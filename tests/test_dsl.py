@@ -389,6 +389,20 @@ def test_binding_errors():
         run_source("free(s)", session)
     with pytest.raises(DslEvalError, match="repeated name"):
         run_source("free(s, s)", session)
+    for source, message in BAD_CONSTRUCTOR_VALUES:
+        with pytest.raises(DslEvalError, match=r"^let .*: " + message):
+            run_source(source, session)
+        assert source.split()[1] not in session.bindings
+
+
+# One-variable constructors with values their model rejects: the error
+# must come at the let, before any query builds the table.
+BAD_CONSTRUCTOR_VALUES = (
+    ("let p = projection(2)", "trace must lie in"),
+    ("let x = free_poisson(lambda=-1)", "rate must be positive"),
+    ("let s2 = semicircle(0)", "radius must be positive"),
+    ("let b = bernoulli(t=2)", "trace must lie in"),
+)
 
 
 def test_word_length_capped_by_session_order():

@@ -1,12 +1,21 @@
+import itertools
 import random
+from fractions import Fraction
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freeprob.errors import StructuralError, ValidationError
 from freeprob.freeness import free_product
 from freeprob.functionals import MomentFunctional, moments_to_cumulants
+from freeprob.fock import DEFAULT_PIVOT_TOLERANCE
+from freeprob.functionals import as_scalar
 from freeprob.infdiv import (
+    GramMatrix,
+    PivotedDecomposition,
+    _as_symmetric_rows,
     check_infdiv,
     gram_matrix,
     is_psd,
@@ -185,3 +194,256 @@ def test_kappa_checks_flag_nontracial_table():
     assert not rep.passed
     assert not rep.moment_tracial
     assert rep.cyclic_violations
+
+
+# -- the rational oracle ------------------------------------------------------
+#
+# The pivoted elimination on Fraction objects that psd_certificate ran
+# before it became fraction-free, kept verbatim: the integer elimination
+# must return the very same PivotedDecomposition.
+
+
+def rational_psd_certificate(rows, tolerance=0):
+    """Exact pivoted LDL-style elimination of a symmetric rational matrix.
+
+    At every step the largest remaining diagonal entry is the pivot.  A
+    remaining diagonal below -tolerance, or an off-diagonal coupling that
+    admits a vector of negative form value, stops the elimination with an
+    exact witness.  Tolerance is applied inside rational arithmetic; 0
+    gives the crisp PSD decision.
+    """
+    S = _as_symmetric_rows(rows)
+    n = len(S)
+    tol = abs(as_scalar(tolerance))
+    vecs = [
+        [Fraction(1) if j == i else Fraction(0) for j in range(n)] for i in range(n)
+    ]
+    active = list(range(n))
+    pivots = []
+    basis = []
+
+    def fail(vector, value):
+        return PivotedDecomposition(
+            psd=False,
+            pivots=tuple(pivots),
+            basis=tuple(basis),
+            witness=tuple(vector),
+            witness_value=value,
+            dimension=n,
+        )
+
+    while active:
+        p = max(active, key=lambda i: S[i][i])
+        d = S[p][p]
+        if d > tol:
+            pivots.append((p, d))
+            basis.append((p, tuple(vecs[p]), d))
+            active.remove(p)
+            vp = vecs[p]
+            col = {i: S[i][p] for i in active}
+            for i in active:
+                ci = col[i]
+                if ci:
+                    c = ci / d
+                    vecs[i] = [a - c * b for a, b in zip(vecs[i], vp)]
+                    Si = S[i]
+                    for j in active:
+                        cj = col[j]
+                        if cj:
+                            Si[j] -= ci * cj / d
+            continue
+        # every remaining diagonal is <= tol
+        neg = min(active, key=lambda i: S[i][i])
+        if S[neg][neg] < -tol:
+            return fail(vecs[neg], S[neg][neg])
+        found = None
+        for i, j in itertools.combinations(active, 2):
+            b = S[i][j]
+            if abs(b) <= tol:
+                continue
+            # diagonals are pinned near zero but the coupling b is not:
+            # a suitable combination t*v_i + v_j goes negative.
+            sii, sjj = S[i][i], S[j][j]
+            if sii > 0 and sjj > 0:
+                for a_, b_, saa, sbb in ((i, j, sii, sjj), (j, i, sjj, sii)):
+                    t = -S[a_][b_] / saa
+                    value = sbb - S[a_][b_] ** 2 / saa
+                    if value < -tol:
+                        vec = [
+                            t * x + y for x, y in zip(vecs[a_], vecs[b_])
+                        ]
+                        found = (vec, value)
+                        break
+                if found:
+                    break
+                continue
+            lead, other = (i, j) if sii <= 0 else (j, i)
+            sll = S[lead][lead]
+            soo = S[other][other]
+            t = max(Fraction(1), (soo + 1 + tol) / (2 * abs(b)))
+            if b > 0:
+                t = -t
+            value = t * t * sll + 2 * t * b + soo
+            vec = [t * x + y for x, y in zip(vecs[lead], vecs[other])]
+            found = (vec, value)
+            break
+        if found is not None:
+            vec, value = found
+            if value < -tol:
+                return fail(vec, value)
+        # remaining block is zero within tolerance: PSD
+        break
+    return PivotedDecomposition(
+        psd=True,
+        pivots=tuple(pivots),
+        basis=tuple(basis),
+        witness=None,
+        witness_value=None,
+        dimension=n,
+    )
+
+
+PRIMES = [p for p in range(2, 2000) if all(p % q for q in range(2, int(p**0.5) + 1))]
+TOLERANCES = (F(0), F(1, 10**10), F(1, 3))
+
+
+@st.composite
+def symmetric_matrices(draw, max_n=7):
+    """B B^T of random rank, the same with one perturbed entry, with zero
+    rows and columns, or with pairwise-coprime prime denominators below
+    2000 in B, so the lcm of the entries' denominators is large."""
+    n = draw(st.integers(1, max_n))
+    r = draw(st.integers(0, n))
+    kind = draw(st.sampled_from(("rank", "perturbed", "zero rows", "coprime")))
+    if kind == "coprime":
+        primes = iter(draw(st.lists(
+            st.sampled_from(PRIMES), min_size=n * r, max_size=n * r, unique=True
+        )))
+        b = [
+            [F(draw(st.integers(-9, 9)), next(primes)) for _ in range(r)]
+            for _ in range(n)
+        ]
+    else:
+        b = [
+            [F(draw(st.integers(-4, 4)), draw(st.integers(1, 6))) for _ in range(r)]
+            for _ in range(n)
+        ]
+    g = [
+        [sum((b[i][t] * b[j][t] for t in range(r)), F(0)) for j in range(n)]
+        for i in range(n)
+    ]
+    if kind in ("perturbed", "coprime"):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        delta = F(draw(st.integers(-3, 3)), draw(st.integers(1, 4)))
+        g[i][j] += delta
+        if i != j:
+            g[j][i] += delta
+    if kind == "zero rows":
+        for z in draw(st.sets(st.integers(0, n - 1))):
+            for t in range(n):
+                g[z][t] = g[t][z] = F(0)
+    return g
+
+
+def exact_rank(rows):
+    m = [list(row) for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for r in range(len(m)):
+            if r != rank and m[r][col]:
+                c = m[r][col] / m[rank][col]
+                m[r] = [x - c * y for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def determinant(rows):
+    m = [list(row) for row in rows]
+    det = F(1)
+    for col in range(len(m)):
+        pivot = next((r for r in range(col, len(m)) if m[r][col]), None)
+        if pivot is None:
+            return F(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, len(m)):
+            c = m[r][col] / m[col][col]
+            m[r] = [x - c * y for x, y in zip(m[r], m[col])]
+    return det
+
+
+def assert_checkable(g, tolerance, cert):
+    """A tolerance-0 PASS diagonalizes G exactly over its basis and has
+    G's rank; a FAIL's witness has its claimed form value, below -tol."""
+    n = len(g)
+    if not cert.psd:
+        # quadratic_form reads only the entries and the dimension
+        gram = GramMatrix((), 1, tuple(range(n)), tuple(map(tuple, g)))
+        assert gram.quadratic_form(cert.witness) == cert.witness_value
+        assert cert.witness_value < -tolerance
+        return
+    if tolerance:
+        return
+    u = [vector for _, vector, _ in cert.basis]
+    ug = [[sum(x * g[i][j] for i, x in enumerate(row)) for j in range(n)] for row in u]
+    product = [[sum(x * y for x, y in zip(a, b)) for b in u] for a in ug]
+    pivots = [value for _, value in cert.pivots]
+    assert product == [
+        [pivots[a] if a == b else 0 for b in range(len(u))] for a in range(len(u))
+    ]
+    assert [value for _, _, value in cert.basis] == pivots
+    assert cert.rank == exact_rank(g)
+
+
+def assert_matches_oracle(g, tolerance):
+    cert = psd_certificate(g, tolerance)
+    oracle = rational_psd_certificate(g, tolerance)
+    assert cert == oracle
+    assert repr(cert) == repr(oracle)
+    assert_checkable(g, tolerance, cert)
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_matrices(), st.sampled_from(TOLERANCES))
+def test_psd_certificate_matches_rational_oracle_property(g, tolerance):
+    assert_matches_oracle(g, tolerance)
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetric_matrices(max_n=5))
+def test_psd_verdict_matches_principal_minors_property(g):
+    n = len(g)
+    minors_nonnegative = all(
+        determinant([[g[i][j] for j in subset] for i in subset]) >= 0
+        for size in range(1, n + 1)
+        for subset in itertools.combinations(range(n), size)
+    )
+    assert psd_certificate(g).psd == minors_nonnegative
+
+
+def test_psd_certificate_matches_oracle_on_model_grams():
+    family = semicircle_family([[F(1), F(1, 2)], [F(1, 2), F(1)]], 4)
+    cases = [
+        (semicircle(2, 8), 4),
+        (free_poisson(1, 1, 6), 3),
+        (compound_free_poisson(F(2), family), 2),
+        (
+            free_product(
+                [free_poisson(1, 1, 4, name="x"), free_poisson(2, 1, 4, name="y")]
+            ),
+            2,
+        ),
+        (bernoulli(F(1, 2), 1, -1, 4), 2),
+        (bernoulli(F(1, 3), 1, 0, 4), 2),
+        (family, 2),
+    ]
+    for law, degree in cases:
+        rows = gram_matrix(law, degree=degree).row_lists()
+        for tolerance in (0, DEFAULT_PIVOT_TOLERANCE):
+            assert_matches_oracle(rows, tolerance)
