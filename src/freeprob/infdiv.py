@@ -120,19 +120,29 @@ class PivotedDecomposition:
         return len(self.pivots)
 
 
-def _as_symmetric_rows(rows):
+def _scaled_symmetric_rows(rows):
+    """(S, L, A): the rows as Fractions S, the lcm L of their denominators
+    and A = L*S as ints.  Raises StructuralError unless S is square and
+    symmetric, naming the first asymmetric pair; symmetry is checked on A,
+    where it is int equality."""
     S = [[as_scalar(x) for x in row] for row in rows]
     n = len(S)
     for row in S:
         if len(row) != n:
             raise StructuralError("matrix is not square")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if S[i][j] != S[j][i]:
-                raise StructuralError(
-                    "matrix not symmetric at (%d, %d)" % (i, j)
-                )
-    return S
+    scale = math.lcm(*(x.denominator for row in S for x in row))
+    A = [[x.numerator * (scale // x.denominator) for x in row] for row in S]
+    for i, (row, column) in enumerate(zip(A, zip(*A))):
+        if row != list(column):
+            # earlier pairs of this row were checked with earlier rows
+            j = next(j for j in range(i + 1, n) if row[j] != column[j])
+            raise StructuralError("matrix not symmetric at (%d, %d)" % (i, j))
+    return S, scale, A
+
+
+def _as_symmetric_rows(rows):
+    """The rows as Fractions, checked square and symmetric."""
+    return _scaled_symmetric_rows(rows)[0]
 
 
 _ZERO = Fraction(0)
@@ -164,14 +174,12 @@ def psd_certificate(rows, tolerance=0):
     so pivots, basis vectors and witnesses are the same Fractions a
     rational elimination gives.
     """
-    S = _as_symmetric_rows(rows)
-    n = len(S)
+    _, scale, A = _scaled_symmetric_rows(rows)
+    n = len(A)
     tol = abs(as_scalar(tolerance))
-    scale = math.lcm(*(x.denominator for row in S for x in row))
     tol_scaled = tol * scale
     # A and V hold the remaining block and its combination vectors, one
     # row per index in ``active``, scaled to integers by scale*prev and prev
-    A = [[x.numerator * (scale // x.denominator) for x in row] for row in S]
     V = [[int(j == i) for j in range(n)] for i in range(n)]
     prev = 1
     active = list(range(n))
@@ -205,45 +213,44 @@ def psd_certificate(rows, tolerance=0):
             V[r] = [(a * x - c * y) // prev for x, y in zip(V[r], Vp)]
         prev = a
     if active:
-        # every remaining diagonal is <= tol: back to rationals once
-        S = {
-            i: dict(zip(active, _over(row, scale * prev)))
-            for i, row in zip(active, A)
-        }
-        vecs = {i: _over(v, prev) for i, v in zip(active, V)}
-        neg = min(active, key=lambda i: S[i][i])
-        if S[neg][neg] < -tol:
-            return fail(vecs[neg], S[neg][neg])
+        # every remaining diagonal is <= tol.  The screens run on the
+        # integers, against the integer part of tol*scale*prev, which for
+        # an integer is the same test; only the entries and vectors a
+        # candidate uses go back to rationals.
+        denom = scale * prev
+        bound = math.floor(tol_scaled * prev)
+        neg = min(range(len(active)), key=lambda r: A[r][r])
+        if -A[neg][neg] > bound:
+            return fail(_over(V[neg], prev), Fraction(A[neg][neg], denom))
+
+        def combination(t, u, v):
+            return [t * x + y for x, y in zip(_over(V[u], prev), _over(V[v], prev))]
+
         found = None
-        for i, j in itertools.combinations(active, 2):
-            b = S[i][j]
-            if abs(b) <= tol:
+        for i, j in itertools.combinations(range(len(active)), 2):
+            if abs(A[i][j]) <= bound:
                 continue
+            b = Fraction(A[i][j], denom)
+            sii, sjj = Fraction(A[i][i], denom), Fraction(A[j][j], denom)
             # diagonals are pinned near zero but the coupling b is not:
             # a suitable combination t*v_i + v_j goes negative.
-            sii, sjj = S[i][i], S[j][j]
             if sii > 0 and sjj > 0:
                 for a_, b_, saa, sbb in ((i, j, sii, sjj), (j, i, sjj, sii)):
-                    t = -S[a_][b_] / saa
-                    value = sbb - S[a_][b_] ** 2 / saa
+                    t = -b / saa
+                    value = sbb - b ** 2 / saa
                     if value < -tol:
-                        vec = [
-                            t * x + y for x, y in zip(vecs[a_], vecs[b_])
-                        ]
-                        found = (vec, value)
+                        found = (combination(t, a_, b_), value)
                         break
                 if found:
                     break
                 continue
             lead, other = (i, j) if sii <= 0 else (j, i)
-            sll = S[lead][lead]
-            soo = S[other][other]
+            sll, soo = (sii, sjj) if sii <= 0 else (sjj, sii)
             t = max(Fraction(1), (soo + 1 + tol) / (2 * abs(b)))
             if b > 0:
                 t = -t
             value = t * t * sll + 2 * t * b + soo
-            vec = [t * x + y for x, y in zip(vecs[lead], vecs[other])]
-            found = (vec, value)
+            found = (combination(t, lead, other), value)
             break
         if found is not None:
             vec, value = found

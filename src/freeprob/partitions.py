@@ -9,16 +9,19 @@ closed product formula.  All values are exact integers.
 Enumeration follows the first-block recursion: the block containing 1 cuts
 the remaining points into independent gaps, each of which carries its own
 non-crossing partition.  This never generates a crossing candidate, so no
-filtering step is involved.
+filtering step is involved.  Each NC(n) is listed once and stored.
+Intervals, and the coarsenings the Mobius recursion sums over, come from a
+pruned merge search whose cost follows the answer, not |NC(n)|.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from functools import lru_cache
 from math import comb
 
-from .errors import CapacityError, DomainError, StructuralError
+from .errors import CapacityError, DomainError, StructuralError, ValidationError
 
 # Enumeration refuses beyond this order; NC(15) already has ~9.7e6 elements.
 ORDER_CAP = 15
@@ -31,6 +34,12 @@ def catalan_number(m):
     if m < 0:
         raise DomainError("catalan_number needs m >= 0")
     return comb(2 * m, m) // (m + 1)
+
+
+def _check_order(n):
+    # a bool would share a cache key with 0 or 1 and leak into its listing
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValidationError("n must be an integer, got %r" % (n,))
 
 
 def _canonical_blocks(n, blocks):
@@ -109,6 +118,7 @@ class NcPartition:
     __slots__ = ("n", "blocks")
 
     def __init__(self, n, blocks):
+        _check_order(n)
         canon = _canonical_blocks(n, blocks)
         if _find_crossing_pair(n, canon) is not None:
             raise StructuralError("crossing blocks: %r" % (canon,))
@@ -158,11 +168,13 @@ class NcPartition:
 
 def singletons(n):
     """The minimum of NC(n): every point alone."""
+    _check_order(n)
     return NcPartition._trusted(n, tuple((i,) for i in range(1, n + 1)))
 
 
 def full(n):
     """The maximum of NC(n): one block."""
+    _check_order(n)
     return NcPartition._trusted(n, (tuple(range(1, n + 1)),))
 
 
@@ -200,14 +212,21 @@ def _nc_blocks(n):
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _nc_partitions(n):
+    return tuple([NcPartition._trusted(n, blocks) for blocks in _nc_blocks(n)])
+
+
 def enumerate_nc(n):
     """All non-crossing partitions of {1..n} in canonical lexicographic
-    order.  Counts match the Catalan numbers."""
+    order.  Counts match the Catalan numbers.  NC(n) is stored once built:
+    a call copies the list of its immutable partitions."""
+    _check_order(n)
     if n < 1:
         raise DomainError("enumerate_nc needs n >= 1")
     if n > ORDER_CAP:
         raise CapacityError("order %d exceeds cap %d" % (n, ORDER_CAP))
-    return [NcPartition._trusted(n, blocks) for blocks in _nc_blocks(n)]
+    return list(_nc_partitions(n))
 
 
 def _check_same_ground(p, q):
@@ -305,35 +324,46 @@ def _restrict_relabel(blocks, members):
     return tuple(sub)
 
 
-def _set_partitions(items):
-    if not items:
-        yield ()
-        return
-    first, rest = items[0], items[1:]
-    for sub in _set_partitions(rest):
-        yield ((first,),) + sub
-        for i in range(len(sub)):
-            yield sub[:i] + ((first,) + sub[i],) + sub[i + 1 :]
+def _coarsenings(n, blocks, group):
+    """Every non-crossing rho >= blocks whose blocks each join points of
+    one label ``group[x]``, as a list of canonical tuples in no set order.
 
+    Blocks are placed by their minimum x, each opening a block of rho or
+    joining an open one R of its label.  Every point left of x is placed, so
+    the join crosses nothing iff each block met between x and R's last point
+    r before x lies strictly between r and x.  A non-crossing partial merge
+    completes with the remaining blocks left alone, so every branch ends in
+    a member: the work is O(|result| * |blocks| * n)."""
+    owner = [0] * (n + 1)  # the rho block of every placed point
+    rho, out = [], []
 
-def _coarsenings_below_top(blocks, n):
-    """All non-crossing rho with blocks <= rho < top, as canonical tuples."""
-    if len(blocks) == n:
-        # blocks is the minimum; rho ranges over all of NC(n) except top
-        for rho in _nc_blocks(n):
-            if len(rho) > 1:
-                yield rho
-        return
-    for grouping in _set_partitions(tuple(range(len(blocks)))):
-        if len(grouping) == 1:
-            continue
-        merged = sorted(
-            (tuple(sorted(itertools.chain.from_iterable(blocks[i] for i in group))))
-            for group in grouping
-        )
-        merged = tuple(sorted(merged, key=lambda b: b[0]))
-        if _find_crossing_pair(n, merged) is None:
-            yield merged
+    def fits(k, x):
+        r = x - 1
+        while owner[r] != k:
+            r -= 1
+        return all(rho[s][0] > r and rho[s][-1] < x for s in owner[r + 1 : x])
+
+    def place(i):
+        if i == len(blocks):
+            out.append(tuple(rho))
+            return
+        b = blocks[i]
+        for k in range(len(rho) + 1):
+            if k == len(rho):  # open a block of rho, always last
+                rho.append(())
+            elif group[rho[k][0]] != group[b[0]] or not fits(k, b[0]):
+                continue
+            kept = rho[k]
+            cut = bisect.bisect(kept, b[0])
+            rho[k] = kept[:cut] + b + kept[cut:]
+            for x in b:
+                owner[x] = k
+            place(i + 1)
+            rho[k] = kept
+        rho.pop()
+
+    place(0)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -342,11 +372,20 @@ def _mu_to_top(blocks):
     if len(blocks) == 1:
         return 1
     n = max(b[-1] for b in blocks)
+    if len(blocks) == n:  # the minimum: the stored listing is at hand
+        rhos = _nc_blocks(n)
+    else:
+        rhos = _coarsenings(n, blocks, [0] * (n + 1))
     acc = 0
-    for rho in _coarsenings_below_top(blocks, n):
+    mu = {}  # the same block of rho recurs across many rho
+    for rho in rhos:
+        if len(rho) == 1:  # the top
+            continue
         term = 1
         for block in rho:
-            term *= _mu_to_top(_restrict_relabel(blocks, set(block)))
+            if block not in mu:
+                mu[block] = _mu_to_top(_restrict_relabel(blocks, set(block)))
+            term *= mu[block]
         acc += term
     return -acc
 
@@ -367,8 +406,11 @@ def mobius(p, q):
 
 
 def interval(p, q):
-    """All partitions rho with p <= rho <= q, in canonical order."""
+    """All partitions rho with p <= rho <= q, in canonical order: the
+    non-crossing merges of p's blocks inside q's blocks, which the merge
+    search lists at a cost that follows the size of the interval."""
     _check_same_ground(p, q)
     if not leq(p, q):
         raise DomainError("empty interval: %s is not below %s" % (p, q))
-    return [r for r in enumerate_nc(p.n) if leq(p, r) and leq(r, q)]
+    members = _coarsenings(p.n, p.blocks, _block_index(q.n, q.blocks))
+    return [NcPartition._trusted(p.n, r) for r in sorted(members)]

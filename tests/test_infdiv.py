@@ -447,3 +447,29 @@ def test_psd_certificate_matches_oracle_on_model_grams():
         rows = gram_matrix(law, degree=degree).row_lists()
         for tolerance in (0, DEFAULT_PIVOT_TOLERANCE):
             assert_matches_oracle(rows, tolerance)
+
+
+def test_asymmetric_matrix_names_its_first_pair():
+    rng = random.Random(3)
+    values = [0, 1, -2, F(1, 2), F(-3, 7), F(5, 6)]
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        S = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                S[i][j] = S[j][i] = rng.choice(values)
+        for _ in range(rng.randint(0, 2)):
+            S[rng.randrange(n)][rng.randrange(n)] = rng.choice(values)
+        # equal values written differently are still symmetric
+        rows = [[str(x) if rng.random() < 0.3 else x for x in row] for row in S]
+        first = next(
+            ((i, j) for i in range(n) for j in range(i + 1, n) if S[i][j] != S[j][i]),
+            None,
+        )
+        if first is None:
+            assert psd_certificate(rows) == rational_psd_certificate(rows)
+        else:
+            with pytest.raises(StructuralError, match=r"not symmetric at \(%d, %d\)$" % first):
+                psd_certificate(rows)
+    with pytest.raises(StructuralError, match="not square"):
+        psd_certificate([[1, 2], [2]])

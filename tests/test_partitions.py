@@ -2,8 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from freeprob.errors import CapacityError, DomainError, StructuralError
+from freeprob.errors import CapacityError, DomainError, StructuralError, ValidationError
 from freeprob.partitions import (
     NcPartition,
     catalan_number,
@@ -222,3 +224,139 @@ def test_mobius_convolution_small():
 def test_order_cap():
     with pytest.raises(CapacityError):
         enumerate_nc(16)
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.0, "3", None])
+def test_order_must_be_an_int(bad):
+    for make in (enumerate_nc, singletons, full, lambda n: NcPartition(n, [(1,)])):
+        with pytest.raises(ValidationError, match="integer"):
+            make(bad)
+
+
+def test_bool_order_does_not_reach_the_stored_listing():
+    with pytest.raises(ValidationError):
+        enumerate_nc(True)
+    (only,) = enumerate_nc(1)
+    assert type(only.n) is int and only.n == 1
+    with pytest.raises(DomainError):
+        enumerate_nc(0)
+
+
+def test_listing_is_the_callers_to_change():
+    first = enumerate_nc(6)
+    first.reverse()
+    del first[:10]
+    again = enumerate_nc(6)
+    assert len(again) == catalan_number(6)
+    assert again == sorted(again) and again is not first
+
+
+# -- properties against test-only oracles -------------------------------------
+
+
+def filtered_interval(p, q):
+    """The interval by definition: NC(n) filtered through leq."""
+    return [r for r in enumerate_nc(p.n) if leq(p, r) and leq(r, q)]
+
+
+def signed_catalan(m):
+    return (-1) ** (m - 1) * catalan_number(m - 1)
+
+
+def kreweras_mobius(p, q):
+    """mu(p, q) as the product of signed Catalan numbers over the blocks of
+    the relative Kreweras complement of p in q.  Inside each block W of q,
+    the complement of p restricted to W is the cycle structure of
+    P^-1 * gamma, with P the blocks of p as increasing cycles and gamma
+    the cycle (1 2 ... |W|)."""
+    result = 1
+    for w in q.blocks:
+        where = {x: i for i, x in enumerate(w)}
+        succ = {}
+        for b in p.blocks:
+            if b[0] in where:
+                cyc = [where[x] for x in b]
+                for a, c in zip(cyc, cyc[1:] + cyc[:1]):
+                    succ[a] = c
+        pred = {c: a for a, c in succ.items()}
+        seen = set()
+        for start in range(len(w)):
+            length, x = 0, start
+            while x not in seen:
+                seen.add(x)
+                length += 1
+                x = pred[(x + 1) % len(w)]
+            if length:
+                result *= signed_catalan(length)
+    return result
+
+
+def nc_partitions(n):
+    return st.integers(0, catalan_number(n) - 1).map(lambda i: enumerate_nc(n)[i])
+
+
+@st.composite
+def ordered_pairs(draw, max_n=9):
+    """p <= q in NC(n): q drawn from the listing or the maximum, and p a
+    blockwise refinement of q, the minimum, or q itself."""
+    n = draw(st.integers(1, max_n))
+    q = draw(st.one_of(st.just(full(n)), nc_partitions(n)))
+    shape = draw(st.sampled_from(["refine", "refine", "refine", "bottom", "equal"]))
+    if shape == "bottom":
+        return singletons(n), q
+    if shape == "equal":
+        return q, q
+    blocks = []
+    for w in q.blocks:
+        sub = draw(nc_partitions(len(w)))
+        blocks += [tuple(w[i - 1] for i in b) for b in sub.blocks]
+    return NcPartition(n, blocks), q
+
+
+@settings(max_examples=150, deadline=None)
+@given(ordered_pairs())
+def test_interval_matches_filter_property(pair):
+    p, q = pair
+    got = interval(p, q)
+    want = filtered_interval(p, q)
+    assert got == want
+    assert repr(got) == repr(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ordered_pairs(max_n=10))
+def test_mobius_matches_kreweras_property(pair):
+    p, q = pair
+    assert mobius(p, q) == kreweras_mobius(p, q)
+
+
+def test_kreweras_oracle_on_known_values():
+    for n in range(1, 8):
+        assert kreweras_mobius(singletons(n), full(n)) == signed_catalan(n)
+        assert kreweras_mobius(full(n), full(n)) == 1
+    assert kreweras_mobius(singletons(3), NcPartition(3, [(1, 2), (3,)])) == -1
+
+
+@st.composite
+def triples(draw, max_n=10):
+    n = draw(st.integers(1, max_n))
+    return tuple(draw(nc_partitions(n)) for _ in range(3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(triples())
+def test_lattice_laws_property(t):
+    p, q, r = t
+    j, m = join(p, q), meet(p, q)
+    assert j == join(q, p) and m == meet(q, p)
+    assert join(p, p) == p and meet(p, p) == p
+    assert join(p, join(q, r)) == join(j, r)
+    assert meet(p, meet(q, r)) == meet(m, r)
+    assert join(p, m) == p and meet(p, j) == p
+    assert leq(p, j) and leq(q, j) and leq(m, p) and leq(m, q)
+    assert leq(p, q) == (j == q) == (m == p)
+    # the join is the least upper bound among the upper bounds drawn
+    if leq(p, r) and leq(q, r):
+        assert leq(j, r)
+    if leq(r, p) and leq(r, q):
+        assert leq(r, m)
