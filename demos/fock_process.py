@@ -2,9 +2,10 @@
 
 Starting from the joint cumulants of a correlated semicircle pair we
 assemble polynomial-space embeddings, tensor them against step functions
-in time, and realize the increments as explicit matrices on a truncated
-Fock space.  The axiom report verifies marginals, stationarity, freeness
-of disjoint increments, and the semigroup scaling in t.
+in time, and realize the increments as operators on a truncated Fock
+space, applied to state vectors level by level.  The axiom report
+verifies marginals, stationarity, freeness of disjoint increments, and
+the semigroup scaling in t.
 """
 
 from fractions import Fraction as F

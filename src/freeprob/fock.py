@@ -15,9 +15,12 @@ operator factor raises polynomial degree and particle number by at most
 one, so within that budget no state ever leaves the modeled subspace and
 the compressions act as identities.
 
-Matrices are dense numpy arrays over the truncated tensor basis; the
-rational Gram data and its pivoted elimination stay exact, and square
-roots enter only when the orthonormal basis is finally written down.
+Operators are held as their one-particle data (drift, creation and
+annihilation vectors, gauge matrix) and applied to float state vectors
+over the truncated tensor basis level by level; a dense matrix is built
+only on request.  The rational Gram data and its pivoted elimination stay
+exact, and square roots enter only when the orthonormal basis is finally
+written down.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .functionals import (
 from .infdiv import gram_matrix, monomial_basis, psd_certificate
 
 DEFAULT_PIVOT_TOLERANCE = Fraction(1, 10**10)
+MAX_DENSE_BYTES = 2**30  # largest dense operator matrix ``.matrix`` builds
 
 
 class PolySpace:
@@ -187,21 +191,70 @@ class TimeComponent:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FockOperator:
-    """Dense matrix on the truncated Fock basis."""
+    """drift + creation + annihilation + gauge, held as one-particle data.
 
-    matrix: np.ndarray
+    Level m of a state, viewed as a (D, D^(m-1)) block whose rows index
+    the first tensor factor, sends outer(x, v_m) to level m+1 (creation
+    vector x), y @ v_m to level m-1 (annihilation vector y) and T @ v_m
+    to level m (gauge matrix T); the drift scales v.  ``apply`` costs
+    O(D dim); ``matrix`` builds the dense matrix on request.
+    """
+
+    levels: tuple  # slice of each particle level 0..n_max in a state
+    drift: float
+    creation: np.ndarray
+    annihilation: np.ndarray
+    gauge: np.ndarray
     label: str
 
+    @property
+    def matrix(self):
+        """The dense matrix, built on each access; CapacityError before
+        allocating more than MAX_DENSE_BYTES."""
+        dim = self.levels[-1].stop
+        if dim * dim * 8 > MAX_DENSE_BYTES:
+            raise CapacityError(
+                "dense Fock matrix of dimension %d exceeds %d bytes"
+                % (dim, MAX_DENSE_BYTES)
+            )
+        M = np.zeros((dim, dim))
+        for below, here in zip(self.levels, self.levels[1:]):
+            cols = np.arange(below.start, below.stop)
+            rows = np.arange(here.start, here.stop).reshape(-1, len(cols))
+            M[rows, cols] = self.creation[:, None]
+            M[cols, rows] = self.annihilation[:, None]
+            M[rows[:, None], rows[None]] = self.gauge[:, :, None]
+        M[np.diag_indices(dim)] += self.drift
+        return M
+
     def adjoint(self):
-        return FockOperator(matrix=self.matrix.T.copy(), label="adj(%s)" % self.label)
+        y, x = self.creation, self.annihilation
+        label = "adj(%s)" % self.label
+        return FockOperator(self.levels, self.drift, x, y, self.gauge.T, label)
 
     def selfadjoint_defect(self):
-        return float(np.abs(self.matrix - self.matrix.T).max())
+        x, y, T = self.creation, self.annihilation, self.gauge
+        return float(max(np.abs(x - y).max(), np.abs(T - T.T).max()))
 
     def apply(self, vector):
-        return self.matrix @ vector
+        v = np.asarray(vector, dtype=float)
+        dim = self.levels[-1].stop
+        if v.shape != (dim,):
+            raise StructuralError("state vector must have length %d" % dim)
+        x, y, T = self.creation, self.annihilation, self.gauge
+        out = self.drift * v
+        for below, here in zip(self.levels, self.levels[1:]):
+            block = v[here].reshape(len(x), -1)
+            out[below] += y @ block
+            out[here] += (x[:, None] * v[below] + T @ block).ravel()
+        return out
+
+
+def _applier(op):
+    """The action of a FockOperator, or of a raw matrix by matvec."""
+    return op.apply if isinstance(op, FockOperator) else np.asarray(op).dot
 
 
 class FockModel:
@@ -210,9 +263,11 @@ class FockModel:
 
     The basis is the vacuum followed by all tensor words over the product
     one-particle basis, enumerated level by level in lexicographic order,
-    so a word is its base-D numeral.  Total dimension 1 + D + ... +
-    D^n_max is capped; exceeding the cap raises CapacityError rather than
-    silently truncating further.
+    so a word is its base-D numeral.  The total dimension 1 + D + ... +
+    D^n_max, the length of a state vector, is capped by max_dim;
+    exceeding the cap raises CapacityError rather than silently
+    truncating further.  Dense operator matrices have their own cap,
+    MAX_DENSE_BYTES.
     """
 
     def __init__(self, poly, time, n_max, max_dim=60000):
@@ -239,6 +294,7 @@ class FockModel:
         for d in dims:
             offsets.append(offsets[-1] + d)
         self.level_offsets = tuple(offsets[:-1])
+        self.levels = tuple(slice(a, b) for a, b in zip(offsets, offsets[1:]))
         self.dim = total
 
     def summary(self):
@@ -280,25 +336,23 @@ class FockModel:
             )
         return x
 
+    def _operator(self, label, drift=0.0, x=None, y=None, T=None):
+        zero = np.zeros(self.hat_dim)
+        x = zero if x is None else x
+        y = zero if y is None else y
+        T = np.zeros((self.hat_dim,) * 2) if T is None else T
+        return FockOperator(self.levels, drift, x, y, T, label)
+
     def creation(self, x, label="l*"):
-        """Left creation by a one-particle vector; components that would
-        exceed n_max particles are dropped."""
-        x = self._check_hat(x)
-        M = np.zeros((self.dim, self.dim))
-        D = self.hat_dim
-        for m in range(self.n_max):
-            r0 = self.level_offsets[m + 1]
-            c0 = self.level_offsets[m]
-            block = np.kron(x.reshape(D, 1), np.eye(D**m))
-            M[r0 : r0 + D ** (m + 1), c0 : c0 + D**m] = block
-        return FockOperator(matrix=M, label=label)
+        """Left creation by a one-particle vector: prepends x as the first
+        tensor factor; components that would exceed n_max particles are
+        dropped."""
+        return self._operator(label, x=self._check_hat(x))
 
     def annihilation(self, x, label="l"):
         """Adjoint of creation: kills the vacuum, pairs the first tensor
         factor against x."""
-        return FockOperator(
-            matrix=self.creation(x).matrix.T.copy(), label=label
-        )
+        return self._operator(label, y=self._check_hat(x))
 
     def gauge(self, T, label="p"):
         """Second-quantized action of a one-particle operator on the first
@@ -313,12 +367,7 @@ class FockModel:
             raise StructuralError(
                 "gauge operator must be %d x %d" % (self.hat_dim, self.hat_dim)
             )
-        M = np.zeros((self.dim, self.dim))
-        D = self.hat_dim
-        for m in range(1, self.n_max + 1):
-            o = self.level_offsets[m]
-            M[o : o + D**m, o : o + D**m] = np.kron(T, np.eye(D ** (m - 1)))
-        return FockOperator(matrix=M, label=label)
+        return self._operator(label, T=T)
 
     def levy_increment(self, var, s, t):
         """Process increment over (s, t) in variable ``var``: drift plus
@@ -328,42 +377,35 @@ class FockModel:
             raise ValidationError("variable %r outside 1..%d" % (var, self.poly.arity))
         s_, t_ = as_scalar(s), as_scalar(t)
         x = self.hat_vector(var, s_, t_)
-        drift = float(t_ - s_) * self.poly.first_cumulants[var - 1]
-        cre = self.creation(x).matrix
         T = np.kron(
             np.diag(self.time.multiplier_diag(s_, t_)),
             self.poly.var_tables[var - 1],
         )
-        M = drift * np.eye(self.dim) + cre + cre.T + self.gauge(T).matrix
-        return FockOperator(
-            matrix=M, label="a[%d](%s,%s)" % (var, s_, t_)
-        )
+        drift = float(t_ - s_) * self.poly.first_cumulants[var - 1]
+        return self._operator("a[%d](%s,%s)" % (var, s_, t_), drift, x, x, T)
 
     def vacuum_moment(self, ops):
         """<A_1 ... A_r vacuum, vacuum> for a product applied left to
         right as written."""
         v = self.vacuum()
         for op in reversed(list(ops)):
-            m = op.matrix if isinstance(op, FockOperator) else np.asarray(op)
-            v = m @ v
+            v = _applier(op)(v)
         return float(v[0])
 
     def moment_table(self, ops, names, order):
-        """Joint vacuum-moment table of the given operators as an exact
-        MomentFunctional (floats promoted to their binary rationals).
-        Shares suffix states across words, one matvec per word."""
+        """Joint vacuum-moment table of the given operators (FockOperators
+        or dense matrices) as an exact MomentFunctional (floats promoted to
+        their binary rationals).  Shares suffix states across words, one
+        apply per word."""
         ops = list(ops)
         if len(ops) != len(names):
             raise StructuralError("need one name per operator")
-        mats = [
-            op.matrix if isinstance(op, FockOperator) else np.asarray(op)
-            for op in ops
-        ]
+        appliers = [_applier(op) for op in ops]
         states = {(): self.vacuum()}
         table = {}
         for n in range(1, order + 1):
             for w in itertools.product(range(1, len(ops) + 1), repeat=n):
-                states[w] = mats[w[0] - 1] @ states[w[1:]]
+                states[w] = appliers[w[0] - 1](states[w[1:]])
                 table[w] = Fraction(float(states[w][0]))
         return MomentFunctional(tuple(names), order, table)
 
@@ -519,13 +561,11 @@ def verify_levy_axioms(
     sections.append(_section("free increments", errors, tol_freeness))
 
     # zero at the start, and the cumulant semigroup along shrinking t
-    errors = [
-        (
-            "a[%d](0,0)" % i,
-            float(np.abs(m_unit.levy_increment(i, 0, 0).matrix).max()),
-        )
-        for i in range(1, k + 1)
-    ]
+    errors = []
+    for i in range(1, k + 1):
+        zero = m_unit.levy_increment(i, 0, 0)
+        data = (zero.drift, zero.creation, zero.annihilation, zero.gauge)
+        errors.append(("a[%d](0,0)" % i, float(max(np.abs(a).max() for a in data))))
     for t in (Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)):
         m_t = FockModel(poly, TimeComponent((0, t)), order, max_dim)
         ops_t = [m_t.levy_increment(i, 0, t) for i in range(1, k + 1)]

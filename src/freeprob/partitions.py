@@ -40,6 +40,8 @@ def _check_order(n):
     # a bool would share a cache key with 0 or 1 and leak into its listing
     if isinstance(n, bool) or not isinstance(n, int):
         raise ValidationError("n must be an integer, got %r" % (n,))
+    if n < 0:
+        raise DomainError("n must be >= 0, got %d" % n)
 
 
 def _canonical_blocks(n, blocks):
@@ -173,9 +175,9 @@ def singletons(n):
 
 
 def full(n):
-    """The maximum of NC(n): one block."""
+    """The maximum of NC(n): one block (no block for n = 0)."""
     _check_order(n)
-    return NcPartition._trusted(n, (tuple(range(1, n + 1)),))
+    return NcPartition._trusted(n, (tuple(range(1, n + 1)),) if n else ())
 
 
 def _shift_blocks(blocks, offset):

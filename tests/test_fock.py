@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from freeprob.errors import CapacityError, StructuralError, ValidationError
 from freeprob.fock import (
+    MAX_DENSE_BYTES,
     FockModel,
     PolySpace,
     TimeComponent,
@@ -13,7 +15,12 @@ from freeprob.fock import (
     build_poly_space,
     verify_levy_axioms,
 )
-from freeprob.functionals import CumulantFunctional, moments_to_cumulants
+from freeprob.freeness import free_product
+from freeprob.functionals import (
+    CumulantFunctional,
+    cumulants_to_moments,
+    moments_to_cumulants,
+)
 from freeprob.models import free_poisson, semicircle, semicircle_family
 
 
@@ -273,3 +280,135 @@ def test_build_helpers():
     assert isinstance(ps, PolySpace)
     model = build_fock_model(sc_cf(5), 2, 2, endpoints=(1, 0, F(1, 2), 1))
     assert model.time.breakpoints == (F(0), F(1, 2), F(1))
+
+
+# -- the dense construction, kept as the oracle for the matrix-free operators
+
+
+def dense_creation(model, x):
+    M = np.zeros((model.dim, model.dim))
+    D = model.hat_dim
+    for m in range(model.n_max):
+        r0 = model.level_offsets[m + 1]
+        c0 = model.level_offsets[m]
+        block = np.kron(x.reshape(D, 1), np.eye(D**m))
+        M[r0 : r0 + D ** (m + 1), c0 : c0 + D**m] = block
+    return M
+
+
+def dense_gauge(model, T):
+    M = np.zeros((model.dim, model.dim))
+    D = model.hat_dim
+    for m in range(1, model.n_max + 1):
+        o = model.level_offsets[m]
+        M[o : o + D**m, o : o + D**m] = np.kron(T, np.eye(D ** (m - 1)))
+    return M
+
+
+def dense_levy_increment(model, var, s, t):
+    x = model.hat_vector(var, s, t)
+    drift = float(F(t) - F(s)) * model.poly.first_cumulants[var - 1]
+    cre = dense_creation(model, x)
+    T = np.kron(
+        np.diag(model.time.multiplier_diag(s, t)),
+        model.poly.var_tables[var - 1],
+    )
+    return drift * np.eye(model.dim) + cre + cre.T + dense_gauge(model, T)
+
+
+def mixed_model(n_max, n_elem):
+    """A semicircle free from a free Poisson law (drift and gauge both
+    nonzero), over n_elem elementary time intervals."""
+    mf = free_product([semicircle(2, 3), free_poisson(1, 1, 3)], 3)
+    poly = PolySpace(moments_to_cumulants(mf), 1)
+    breakpoints = [F(j, 2) for j in range(n_elem + 1)]
+    return FockModel(poly, TimeComponent(breakpoints), n_max)
+
+
+def model_operators(model):
+    """Every operator builder's output, paired with its dense oracle."""
+    rng = np.random.default_rng(model.dim)
+    D = model.hat_dim
+    x = rng.normal(size=D)
+    t_part = rng.normal(size=(model.time.n_elem,) * 2)
+    p_part = rng.normal(size=(model.poly.dim,) * 2)  # not symmetric
+    T = np.kron(t_part, p_part)
+    end = model.time.breakpoints[-1]
+    inc = model.levy_increment(2, 0, end)
+    yield model.creation(x), dense_creation(model, x)
+    yield model.annihilation(x), dense_creation(model, x).T
+    yield model.gauge(T), dense_gauge(model, T)
+    yield model.gauge((t_part, p_part)), dense_gauge(model, T)
+    yield inc, dense_levy_increment(model, 2, 0, end)
+    half = F(1, 2)
+    yield model.levy_increment(1, half, end), dense_levy_increment(model, 1, half, end)
+    yield inc.adjoint(), dense_levy_increment(model, 2, 0, end).T
+    yield model.gauge(T).adjoint(), dense_gauge(model, T).T
+
+
+SHAPES = [(n_max, n_elem) for n_max in (1, 2, 3, 4) for n_elem in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("n_max, n_elem", SHAPES)
+def test_matrix_free_operators_match_the_dense_oracle(n_max, n_elem):
+    model = mixed_model(n_max, n_elem)
+    rng = np.random.default_rng(n_max * 10 + n_elem)
+    v = rng.normal(size=model.dim)
+    for op, dense in model_operators(model):
+        assert np.array_equal(op.matrix, dense), op.label
+        assert np.abs(op.apply(v) - dense @ v).max() <= 1e-12, op.label
+        defect = float(np.abs(dense - dense.T).max())
+        assert op.selfadjoint_defect() == defect, op.label
+    symmetric = model.gauge(np.kron(np.eye(n_elem), np.ones((2, 2))))
+    assert symmetric.selfadjoint_defect() == 0.0
+
+
+@pytest.mark.parametrize("n_max, n_elem", [(2, 2), (3, 3), (4, 1)])
+def test_moment_table_matches_matrix_products(n_max, n_elem):
+    model = mixed_model(n_max, n_elem)
+    end = model.time.breakpoints[-1]
+    ops = [model.levy_increment(1, 0, end), model.levy_increment(2, F(1, 2), end)]
+    mats = [op.matrix for op in ops]
+    table = model.moment_table(ops, ("u", "v"), n_max)
+    dense = model.moment_table(mats, ("u", "v"), n_max)  # raw ndarrays
+    for w in table.words():
+        v = model.vacuum()
+        for c in reversed(w):
+            v = mats[c - 1] @ v
+        assert abs(float(table.moment(w)) - v[0]) <= 1e-12
+        assert abs(float(dense.moment(w)) - v[0]) <= 1e-12
+        assert abs(model.vacuum_moment([ops[c - 1] for c in w]) - v[0]) <= 1e-12
+        assert abs(model.vacuum_moment([mats[c - 1] for c in w]) - v[0]) <= 1e-12
+
+
+def test_apply_refuses_a_vector_of_the_wrong_length():
+    model = mixed_model(2, 1)
+    with pytest.raises(StructuralError):
+        model.levy_increment(1, 0, F(1, 2)).apply(np.zeros(model.dim + 1))
+
+
+def test_large_model_moments_without_dense_matrices():
+    # D = 6 elements x 2 poly dims = 12, dimension 22,621: a dense matrix
+    # would take 4.1 GB, so only .matrix may refuse the model
+    poly = PolySpace(pair_cf(9), 4)
+    model = FockModel(poly, TimeComponent(range(7)), 4)
+    assert model.hat_dim == 12 and model.dim == 22621
+    assert model.dim**2 * 8 > MAX_DENSE_BYTES
+    ops = [model.levy_increment(i, 2, 5) for i in (1, 2)]
+    table = model.moment_table(ops, ("u", "v"), 4)
+    cf = poly.cf.truncate(4)
+    dilated = CumulantFunctional(
+        cf.alphabet, 4, {w: 3 * cf.cumulant(w) for w in cf.words()}
+    )
+    want = cumulants_to_moments(dilated)
+    for w in want.words():
+        assert abs(float(table.moment(w) - want.moment(w))) <= 1e-9
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="22621"):
+            ops[0].matrix
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6

@@ -360,3 +360,12 @@ def test_lattice_laws_property(t):
         assert leq(j, r)
     if leq(r, p) and leq(r, q):
         assert leq(r, m)
+
+
+def test_extremes_of_nc_zero_and_negative_orders():
+    assert singletons(0) == full(0) == NcPartition(0, ())
+    assert full(0).blocks == () and full(0).num_blocks() == 0
+    assert leq(full(0), singletons(0)) and leq(singletons(0), full(0))
+    for make in (singletons, full, lambda n: NcPartition(n, ())):
+        with pytest.raises(DomainError, match=">= 0"):
+            make(-2)
