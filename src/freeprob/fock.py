@@ -20,7 +20,17 @@ annihilation vectors, gauge matrix) and applied to float state vectors
 over the truncated tensor basis level by level; a dense matrix is built
 only on request.  The rational Gram data and its pivoted elimination stay
 exact, and square roots enter only when the orthonormal basis is finally
-written down.
+written down.  The float multiplication tables are cut from whole
+cumulant levels, converted to float once per word.
+
+*Light cone.*  Every operator changes particle number by at most one, so
+in a vacuum moment of r factors the state after j of them has no level
+above j and reaches the vacuum through the remaining r - j factors only
+from its levels <= r - j.  Moment tables and vacuum moments therefore
+keep each state as its prefix of levels 0..min(j, r - j, n_max), never
+above r // 2, and each step computes just those levels from the ones it
+reads.  The results equal those on full states bit for bit, and a word
+of length <= order needs no more than order // 2 particles.
 """
 
 from __future__ import annotations
@@ -44,6 +54,14 @@ from .infdiv import gram_matrix, monomial_basis, psd_certificate
 
 DEFAULT_PIVOT_TOLERANCE = Fraction(1, 10**10)
 MAX_DENSE_BYTES = 2**30  # largest dense operator matrix ``.matrix`` builds
+
+
+def _word_block(level, p, q):
+    """Rows: words u of length p, columns: words v of length q, entry
+    level[u + reverse(v)], for a word level of shape (k,)*(p+q)."""
+    k = level.shape[0]
+    axes = tuple(range(p)) + tuple(range(p + q - 1, p - 1, -1))
+    return level.transpose(axes).reshape(k**p, k**q)
 
 
 class PolySpace:
@@ -104,24 +122,30 @@ class PolySpace:
                     basis[a, j] = float(c) * scale
         self.basis = basis  # rows: orthonormal vectors in monomial coordinates
 
-        kappa = cf.cumulant
-        gram_f = np.array(
-            [[float(x) for x in row] for row in gram.entries]
-        )
+        # cumulant level n as floats of shape (k,)*n, letter i on axis i
+        k = cf.arity
+        levels = [None] + [
+            np.array([float(cf.cumulant(w)) for w in cf.words(n)]).reshape((k,) * n)
+            for n in range(1, 2 * d_H + 2)
+        ]
+        starts = list(itertools.accumulate((k**p for p in range(1, d_H + 1)), initial=0))
+        degrees = [(p, slice(starts[p - 1], starts[p])) for p in range(1, d_H + 1)]
+        # blocks are written into preallocated C-ordered arrays: the
+        # products below round differently on a transposed layout
+        gram_f = np.empty((n_mono, n_mono))
+        for (p, rows), (q, cols) in itertools.product(degrees, repeat=2):
+            gram_f[rows, cols] = _word_block(levels[p + q], p, q)
+        self._gram_f = gram_f
         self.var_embeddings = []
         self.var_tables = []
-        for i in range(1, cf.arity + 1):
-            row = gram_f[self._mono_index[(i,)]]
-            self.var_embeddings.append(basis @ row)
-            lifted = np.zeros((n_mono, n_mono))
-            for a, w in enumerate(self.monomials):
-                for b, v in enumerate(self.monomials):
-                    lifted[a, b] = float(kappa((i,) + v + w[::-1]))
+        for i in range(k):
+            self.var_embeddings.append(basis @ gram_f[self._mono_index[(i + 1,)]])
+            lifted = np.empty((n_mono, n_mono))
+            for (p, rows), (q, cols) in itertools.product(degrees, repeat=2):
+                lifted[rows, cols] = _word_block(levels[1 + p + q][i], q, p).T
             # lifted[a, b] = <X_i X_vb, X_wa>; compress both sides
             self.var_tables.append(basis @ lifted @ basis.T)
-        self.first_cumulants = tuple(
-            float(kappa((i,))) for i in range(1, cf.arity + 1)
-        )
+        self.first_cumulants = tuple(levels[1].tolist())
 
     def project_word(self, word):
         """Coordinates of the image of a monomial in the orthonormal
@@ -129,8 +153,7 @@ class PolySpace:
         idx = self._mono_index.get(tuple(word))
         if idx is None:
             raise ValidationError("monomial %r outside degree 1..%d" % (word, self.d_H))
-        row = np.array([float(x) for x in self.gram.entries[idx]])
-        return self.basis @ row
+        return self.basis @ self._gram_f[idx]
 
 
 class TimeComponent:
@@ -243,18 +266,30 @@ class FockOperator:
         dim = self.levels[-1].stop
         if v.shape != (dim,):
             raise StructuralError("state vector must have length %d" % dim)
+        return self._apply(v, len(self.levels) - 1)
+
+    def _apply(self, v, top):
+        """Levels 0..top of the image of a level prefix v (levels
+        0..L, v = state[:levels[L].stop]).  Output level m reads input
+        levels m-1, m and m+1 only, so levels above top + 1 are never
+        read, and an absent level counts as zero.  Each level takes its
+        terms in the order drift, creation + gauge, annihilation."""
+        levels = self.levels
         x, y, T = self.creation, self.annihilation, self.gauge
-        out = self.drift * v
-        for below, here in zip(self.levels, self.levels[1:]):
+        have = len(v)
+        out = np.zeros(levels[top].stop)
+        n = min(have, len(out))
+        out[:n] = self.drift * v[:n]
+        for below, here in zip(levels[:top], levels[1 : top + 1]):
+            if here.stop > have:  # v ends below this level: creation only
+                out[here] = (x[:, None] * v[below]).ravel()
+                break
             block = v[here].reshape(len(x), -1)
             out[below] += y @ block
             out[here] += (x[:, None] * v[below] + T @ block).ravel()
+        if have > len(out):  # v holds level top + 1
+            out[levels[top]] += y @ v[levels[top + 1]].reshape(len(x), -1)
         return out
-
-
-def _applier(op):
-    """The action of a FockOperator, or of a raw matrix by matvec."""
-    return op.apply if isinstance(op, FockOperator) else np.asarray(op).dot
 
 
 class FockModel:
@@ -384,28 +419,58 @@ class FockModel:
         drift = float(t_ - s_) * self.poly.first_cumulants[var - 1]
         return self._operator("a[%d](%s,%s)" % (var, s_, t_), drift, x, x, T)
 
+    def _stepper(self, op):
+        """The light-cone step (v, top) -> levels 0..top of op applied to
+        the level prefix v, for a FockOperator of this model or a dense
+        matrix.  A matrix is applied through its leading block, so like
+        every Fock operator it must change particle number by at most
+        one."""
+        if isinstance(op, FockOperator):
+            if op.levels != self.levels:
+                raise StructuralError("operator does not act on this model's states")
+            return op._apply
+        M = np.asarray(op, dtype=float)
+        if M.shape != (self.dim, self.dim):
+            raise StructuralError("operator matrix must be %d x %d" % (self.dim, self.dim))
+        levels = self.levels
+        return lambda v, top: M[: levels[top].stop, : len(v)] @ v
+
     def vacuum_moment(self, ops):
         """<A_1 ... A_r vacuum, vacuum> for a product applied left to
-        right as written."""
-        v = self.vacuum()
-        for op in reversed(list(ops)):
-            v = _applier(op)(v)
+        right as written, on the light cone of ``moment_table``: after j
+        of the r factors the state keeps levels 0..min(j, r - j)."""
+        steps = [self._stepper(op) for op in ops]
+        r = len(steps)
+        v = np.ones(1)  # level 0 of the vacuum
+        for j, step in enumerate(reversed(steps), 1):
+            v = step(v, min(j, r - j, self.n_max))
         return float(v[0])
 
     def moment_table(self, ops, names, order):
         """Joint vacuum-moment table of the given operators (FockOperators
         or dense matrices) as an exact MomentFunctional (floats promoted to
         their binary rationals).  Shares suffix states across words, one
-        apply per word."""
+        step per word.
+
+        Light cone: every factor changes particle number by at most one,
+        so the suffix state of a word of length n has no level above n,
+        and the at most order - n factors still to come reach the vacuum
+        from its levels <= order - n only.  Each state is therefore held
+        as its levels 0..min(n, order - n, n_max), never above order // 2,
+        and each step computes just those from the levels of the shorter
+        suffix state.  Every entry equals, bit for bit, the one computed
+        on full states.
+        """
         ops = list(ops)
         if len(ops) != len(names):
             raise StructuralError("need one name per operator")
-        appliers = [_applier(op) for op in ops]
-        states = {(): self.vacuum()}
+        steps = [self._stepper(op) for op in ops]
+        states = {(): np.ones(1)}
         table = {}
         for n in range(1, order + 1):
+            top = min(n, order - n, self.n_max)
             for w in itertools.product(range(1, len(ops) + 1), repeat=n):
-                states[w] = appliers[w[0] - 1](states[w[1:]])
+                states[w] = steps[w[0] - 1](states[w[1:]], top)
                 table[w] = Fraction(float(states[w][0]))
         return MomentFunctional(tuple(names), order, table)
 
@@ -505,7 +570,9 @@ def verify_levy_axioms(
     the cumulant semigroup in t over (0, t), t = 1, 1/2, 1/4, 1/8.
 
     Each section runs in its own small model over exactly the breakpoints
-    it mentions; all models share the poly space of ``model``.
+    it mentions, truncated at the n_max = max(1, order // 2) particles
+    that the light cone of ``moment_table`` reads; all models share the
+    poly space of ``model``.
     """
     if not isinstance(model, FockModel):
         raise StructuralError("expected a FockModel")
@@ -516,12 +583,15 @@ def verify_levy_axioms(
     if order > poly.d_H:
         raise ValidationError("order %d beyond d_H %d" % (order, poly.d_H))
 
+    # a word of length <= order reaches particle level order // 2 at most
+    # on its light cone, so the section models stop there
+    n_sect = max(1, order // 2)
     target_cf = poly.cf.truncate(order)
     target_mf = cumulants_to_moments(target_cf)
     sections = []
 
     # marginal moments over the unit interval
-    m_unit = FockModel(poly, TimeComponent((0, 1)), order, max_dim)
+    m_unit = FockModel(poly, TimeComponent((0, 1)), n_sect, max_dim)
     ops = [m_unit.levy_increment(i, 0, 1) for i in range(1, k + 1)]
     table = m_unit.moment_table(ops, target_mf.alphabet, order)
     errors = [
@@ -531,7 +601,7 @@ def verify_levy_axioms(
     sections.append(_section("marginal moments", errors, tol_moments))
 
     # stationarity: the law over (0,1) equals the law over (2,3)
-    m_station = FockModel(poly, TimeComponent((0, 1, 2, 3)), order, max_dim)
+    m_station = FockModel(poly, TimeComponent((0, 1, 2, 3)), n_sect, max_dim)
     ops01 = [m_station.levy_increment(i, 0, 1) for i in range(1, k + 1)]
     ops23 = [m_station.levy_increment(i, 2, 3) for i in range(1, k + 1)]
     t01 = m_station.moment_table(ops01, target_mf.alphabet, order)
@@ -543,7 +613,7 @@ def verify_levy_axioms(
     sections.append(_section("stationarity", errors, tol_stationarity))
 
     # free increments: mixed cumulants across (0,1) and (1,2) vanish
-    m_free = FockModel(poly, TimeComponent((0, 1, 2)), order, max_dim)
+    m_free = FockModel(poly, TimeComponent((0, 1, 2)), n_sect, max_dim)
     fam = [m_free.levy_increment(i, 0, 1) for i in range(1, k + 1)]
     fam += [m_free.levy_increment(i, 1, 2) for i in range(1, k + 1)]
     names = ["a%d.early" % i for i in range(1, k + 1)]
@@ -567,7 +637,7 @@ def verify_levy_axioms(
         data = (zero.drift, zero.creation, zero.annihilation, zero.gauge)
         errors.append(("a[%d](0,0)" % i, float(max(np.abs(a).max() for a in data))))
     for t in (Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)):
-        m_t = FockModel(poly, TimeComponent((0, t)), order, max_dim)
+        m_t = FockModel(poly, TimeComponent((0, t)), n_sect, max_dim)
         ops_t = [m_t.levy_increment(i, 0, t) for i in range(1, k + 1)]
         tab = m_t.moment_table(ops_t, target_mf.alphabet, order)
         cf_t = moments_to_cumulants(tab)

@@ -135,6 +135,16 @@ class _WordTable:
         self._table = data
 
     @classmethod
+    def _trusted(cls, alphabet, order, table):
+        # internal: alphabet is checked, order >= 1, and table maps every
+        # word of length 1..order to a Fraction, as _transform returns it
+        self = object.__new__(cls)
+        self.alphabet = alphabet
+        self.order = order
+        self._table = table
+        return self
+
+    @classmethod
     def from_function(cls, alphabet, order, fn):
         """Build a total table by evaluating ``fn(word)`` on every word."""
         names = _check_alphabet(alphabet)
@@ -419,7 +429,7 @@ def moments_to_cumulants(mf):
     if not isinstance(mf, MomentFunctional):
         raise StructuralError("expected a MomentFunctional")
     kappa = _transform(mf._table, mf.arity, mf.order, True)
-    return CumulantFunctional(mf.alphabet, mf.order, kappa)
+    return CumulantFunctional._trusted(mf.alphabet, mf.order, kappa)
 
 
 def cumulants_to_moments(cf):
@@ -429,7 +439,7 @@ def cumulants_to_moments(cf):
     if not isinstance(cf, CumulantFunctional):
         raise StructuralError("expected a CumulantFunctional")
     phi = _transform(cf._table, cf.arity, cf.order, False)
-    return MomentFunctional(cf.alphabet, cf.order, phi)
+    return MomentFunctional._trusted(cf.alphabet, cf.order, phi)
 
 
 def cumulant_mobius_sum(mf, word):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction as F
@@ -9,6 +10,7 @@ from freeprob.errors import CapacityError, StructuralError, ValidationError
 from freeprob.fock import (
     MAX_DENSE_BYTES,
     FockModel,
+    FockOperator,
     PolySpace,
     TimeComponent,
     build_fock_model,
@@ -18,10 +20,16 @@ from freeprob.fock import (
 from freeprob.freeness import free_product
 from freeprob.functionals import (
     CumulantFunctional,
+    MomentFunctional,
     cumulants_to_moments,
     moments_to_cumulants,
 )
-from freeprob.models import free_poisson, semicircle, semicircle_family
+from freeprob.models import (
+    compound_free_poisson_cumulants,
+    free_poisson,
+    semicircle,
+    semicircle_family,
+)
 
 
 def sc_cf(order):
@@ -412,3 +420,181 @@ def test_large_model_moments_without_dense_matrices():
     finally:
         tracemalloc.stop()
     assert peak < 10**6
+
+
+# -- light cone: moment tables against full-length states
+
+
+def full_state_moments(model, ops, order):
+    """Vacuum moments of every word up to ``order``, each operator applied
+    to full-length state vectors, suffix states shared."""
+    apply = [op.apply if hasattr(op, "apply") else op.__matmul__ for op in ops]
+    states = {(): model.vacuum()}
+    out = {}
+    for n in range(1, order + 1):
+        for w in itertools.product(range(1, len(ops) + 1), repeat=n):
+            states[w] = apply[w[0] - 1](states[w[1:]])
+            out[w] = states[w][0]
+    return out
+
+
+def generic_operator(model, seed):
+    """Distinct random creation and annihilation vectors, a non-symmetric
+    gauge and a drift: every term of a step is exercised."""
+    rng = np.random.default_rng(seed)
+    D = model.hat_dim
+    x, y, T = rng.normal(size=D), rng.normal(size=D), rng.normal(size=(D, D))
+    return FockOperator(model.levels, float(rng.normal()), x, y, T, "generic")
+
+
+def level_loop_apply(op, v):
+    """The full-length level loop: drift v, then per level pair the
+    annihilation into the lower level and creation + gauge into the
+    upper one."""
+    x, y, T = op.creation, op.annihilation, op.gauge
+    out = op.drift * v
+    for below, here in zip(op.levels, op.levels[1:]):
+        block = v[here].reshape(len(x), -1)
+        out[below] += y @ block
+        out[here] += (x[:, None] * v[below] + T @ block).ravel()
+    return out
+
+
+@pytest.mark.parametrize("n_max, n_elem", [(1, 3), (2, 2), (3, 3), (4, 1)])
+def test_apply_matches_the_level_loop_bit_for_bit(n_max, n_elem):
+    model = mixed_model(n_max, n_elem)
+    v = np.random.default_rng(n_max + n_elem).normal(size=model.dim)
+    ops = [op for op, _ in model_operators(model)]
+    ops.append(generic_operator(model, n_max))
+    for op in ops:
+        assert np.array_equal(op.apply(v), level_loop_apply(op, v)), op.label
+
+
+# (n_max, n_elem, order): order below, at and above n_max, up to 2 n_max + 1
+LIGHT_CONE = [
+    (1, 2, 1),
+    (1, 3, 3),
+    (2, 1, 1),
+    (2, 3, 2),
+    (2, 2, 5),
+    (3, 2, 2),
+    (3, 1, 3),
+    (3, 3, 7),
+    (4, 1, 4),
+    (4, 2, 6),
+]
+
+
+@pytest.mark.parametrize("n_max, n_elem, order", LIGHT_CONE)
+def test_light_cone_moment_table_is_bit_identical(n_max, n_elem, order):
+    model = mixed_model(n_max, n_elem)
+    end = model.time.breakpoints[-1]
+    generic = generic_operator(model, 10 * n_max + order)
+    ops = [generic, model.levy_increment(1, F(1, 2), end), generic.adjoint()]
+    want = full_state_moments(model, ops, order)
+    table = model.moment_table(ops, ("g", "a", "h"), order)
+    assert dict(table.items()) == {w: F(v) for w, v in want.items()}
+    for w in itertools.islice(table.words(), 0, None, 7):
+        assert model.vacuum_moment([ops[c - 1] for c in w]) == want[w], w
+
+    mats = [op.matrix for op in ops]  # raw ndarrays, by their leading blocks
+    dense = model.moment_table(mats, ("g", "a", "h"), order)
+    for w, v in full_state_moments(model, mats, order).items():
+        assert abs(float(dense.moment(w)) - v) <= 1e-12 * max(1.0, abs(v)), w
+
+
+def test_moment_table_refuses_operators_of_another_model():
+    small, big = mixed_model(2, 1), mixed_model(3, 1)
+    op = big.levy_increment(1, 0, F(1, 2))
+    with pytest.raises(StructuralError):
+        small.moment_table([op], ("a",), 2)
+    with pytest.raises(StructuralError):
+        small.vacuum_moment([op.matrix])
+
+
+# -- PolySpace float tables against the per-entry construction
+
+
+def oracle_poly_tables(ps):
+    """gram_f, then var_embeddings, var_tables and first_cumulants, one
+    float(kappa(...)) per entry."""
+    kappa = ps.cf.cumulant
+    n_mono = len(ps.monomials)
+    gram_f = np.array([[float(x) for x in row] for row in ps.gram.entries])
+    embeddings, tables = [], []
+    for i in range(1, ps.arity + 1):
+        row = gram_f[ps.monomials.index((i,))]
+        embeddings.append(ps.basis @ row)
+        lifted = np.zeros((n_mono, n_mono))
+        for a, w in enumerate(ps.monomials):
+            for b, v in enumerate(ps.monomials):
+                lifted[a, b] = float(kappa((i,) + v + w[::-1]))
+        tables.append(ps.basis @ lifted @ ps.basis.T)
+    firsts = tuple(float(kappa((i,))) for i in range(1, ps.arity + 1))
+    return gram_f, embeddings, tables, firsts
+
+
+def matrix_state(mats, den, order, tracial=True):
+    """phi(w) = (1/d) tr(X_w1 ... X_wn), or the vector state
+    <X_w1 ... X_wn e_1, e_1> when not ``tracial``, with X_i = mats[i] / den
+    for integer symmetric d x d matrices; products shared along prefixes."""
+    d = len(mats[0])
+    mats = [np.array(m, dtype=object) for m in mats]
+    prods = {(): np.eye(d, dtype=int).astype(object)}
+    table = {}
+    for n in range(1, order + 1):
+        for w in itertools.product(range(1, len(mats) + 1), repeat=n):
+            prods[w] = prods[w[:-1]].dot(mats[w[-1] - 1])
+            if tracial:
+                table[w] = F(int(np.trace(prods[w])), d * den**n)
+            else:
+                table[w] = F(int(prods[w][0, 0]), den**n)
+    return MomentFunctional(tuple("xyz"[: len(mats)]), order, table)
+
+
+MATS_2X2 = ([[1, 2], [2, -1]], [[0, 1], [1, 3]], [[-2, 1], [1, 1]])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("d_H", [1, 2, 3, 4])
+def test_poly_space_tables_match_the_per_entry_oracle(k, d_H):
+    # the vector state is not tracial, so kappa(i v reverse(w)) and
+    # kappa(i w reverse(v)) differ there
+    laws = [
+        compound_free_poisson_cumulants(
+            F(3, 2), matrix_state(MATS_2X2[:k], 2, 2 * d_H + 1, tracial)
+        )
+        for tracial in (True, False)
+    ]
+    if k == 1:
+        laws += [sc_cf(2 * d_H + 1), fp_cf(2 * d_H + 1)]
+    if k == 2:
+        laws.append(pair_cf(2 * d_H + 1))
+    for cf in laws:
+        ps = PolySpace(cf, d_H)
+        gram_f, embeddings, tables, firsts = oracle_poly_tables(ps)
+        assert all(np.array_equal(a, b) for a, b in zip(ps.var_tables, tables))
+        assert all(np.array_equal(a, b) for a, b in zip(ps.var_embeddings, embeddings))
+        assert len(ps.var_tables) == len(ps.var_embeddings) == k
+        assert ps.first_cumulants == firsts
+        assert all(type(c) is float for c in ps.first_cumulants)
+        for i, w in enumerate(ps.monomials):
+            assert np.array_equal(ps.project_word(w), ps.basis @ gram_f[i])
+
+
+def test_levy_axioms_at_order_four_over_a_3x3_state():
+    # k = 3 compound free Poisson law, rate 2, over a 3 x 3 tracial state:
+    # the user's model has dimension 7,381, while section models at
+    # n_max = order would need 551,881 > the 60,000 cap
+    mats = (
+        [[-1, 2, -1], [2, 3, 2], [-1, 2, 3]],
+        [[2, 2, 1], [2, -3, 3], [1, 3, 0]],
+        [[3, -2, 2], [-2, -3, -2], [2, -2, -3]],
+    )
+    cf = compound_free_poisson_cumulants(2, matrix_state(mats, 3, 9))
+    poly = PolySpace(cf, 4)
+    model = FockModel(poly, TimeComponent((0, 1)), 4)
+    assert poly.dim == 9 and model.dim == 7381
+    rep = verify_levy_axioms(model, 4)
+    assert rep.passed, rep.to_text()
+    assert rep.summary == model.summary()

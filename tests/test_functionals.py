@@ -257,3 +257,20 @@ def test_cumulants_to_moments_matches_lattice_sums_property(data):
     for w in cf.words():
         assert mf.moment(w) == moment_lattice_sum(cf, w), w
 
+
+
+@settings(max_examples=40, deadline=None)
+@given(family_tables())
+def test_transform_outputs_pass_the_public_constructor_property(data):
+    # the transforms build their results without re-validation; the public
+    # constructor must accept them unchanged
+    k, order, table = data
+    names = tuple("abc"[:k])
+    for out in (
+        moments_to_cumulants(MomentFunctional(names, order, table)),
+        cumulants_to_moments(CumulantFunctional(names, order, table)),
+    ):
+        assert out.alphabet == names and out.order == order
+        assert list(out._table) == list(iter_words_upto(k, order))
+        assert all(type(v) is F for v in out._table.values())
+        assert type(out)(names, order, dict(out.items())) == out
