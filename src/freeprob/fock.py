@@ -20,8 +20,9 @@ annihilation vectors, gauge matrix) and applied to float state vectors
 over the truncated tensor basis level by level; a dense matrix is built
 only on request.  The rational Gram data and its pivoted elimination stay
 exact, and square roots enter only when the orthonormal basis is finally
-written down.  The float multiplication tables are cut from whole
-cumulant levels, converted to float once per word.
+written down.  The float Gram and multiplication tables are Hankel cuts
+(``infdiv._hankel``) of whole cumulant levels, each level converted to
+float once.
 
 *Light cone.*  Every operator changes particle number by at most one, so
 in a vacuum moment of r factors the state after j of them has no level
@@ -50,18 +51,11 @@ from .functionals import (
     cumulants_to_moments,
     moments_to_cumulants,
 )
-from .infdiv import gram_matrix, monomial_basis, psd_certificate
+from .infdiv import _hankel, gram_matrix, monomial_basis, psd_certificate
 
 DEFAULT_PIVOT_TOLERANCE = Fraction(1, 10**10)
 MAX_DENSE_BYTES = 2**30  # largest dense operator matrix ``.matrix`` builds
-
-
-def _word_block(level, p, q):
-    """Rows: words u of length p, columns: words v of length q, entry
-    level[u + reverse(v)], for a word level of shape (k,)*(p+q)."""
-    k = level.shape[0]
-    axes = tuple(range(p)) + tuple(range(p + q - 1, p - 1, -1))
-    return level.transpose(axes).reshape(k**p, k**q)
+MAX_FOCK_DIM = 60000  # longest state vector a FockModel allows
 
 
 class PolySpace:
@@ -76,7 +70,8 @@ class PolySpace:
     uneliminated block is zero within the cutoff, not exactly.  Also
     carries, per variable, the compressed left multiplication table and
     the coordinates of X_i itself, which is everything the Fock
-    construction consumes.
+    construction consumes.  The float Gram and the lifted tables are
+    Hankel cuts (``infdiv._hankel``) of the float cumulant levels.
     """
 
     def __init__(self, cf, d_H, tolerance=DEFAULT_PIVOT_TOLERANCE):
@@ -113,38 +108,24 @@ class PolySpace:
         self.dim = len(cert.pivots)
         self.kernel_dim = len(self.monomials) - self.dim
 
-        n_mono = len(self.monomials)
-        basis = np.zeros((self.dim, n_mono))
+        basis = np.zeros((self.dim, len(self.monomials)))
         for a, (_, vector, value) in enumerate(cert.basis):
-            scale = 1.0 / math.sqrt(float(value))
-            for j, c in enumerate(vector):
-                if c:
-                    basis[a, j] = float(c) * scale
+            basis[a] = np.array(vector, dtype=float) * (1.0 / math.sqrt(float(value)))
         self.basis = basis  # rows: orthonormal vectors in monomial coordinates
 
-        # cumulant level n as floats of shape (k,)*n, letter i on axis i
+        # each cumulant level converted to float once, letter i on axis i
         k = cf.arity
-        levels = [None] + [
-            np.array([float(cf.cumulant(w)) for w in cf.words(n)]).reshape((k,) * n)
-            for n in range(1, 2 * d_H + 2)
+        levels = [None] + [cf._level(n).astype(float) for n in range(1, 2 * d_H + 2)]
+        degrees = range(1, d_H + 1)
+        self._gram_f = _hankel(levels, k, degrees)
+        self.var_embeddings = [self.project_word((i,)) for i in range(1, k + 1)]
+        # <X_i X_v, X_w> = kappa(i v reverse(w)) is the Hankel cut of
+        # x -> kappa(i reverse(x)): the levels with first letter i, axes
+        # reversed; compress both sides
+        self.var_tables = [
+            basis @ _hankel([None] + [lv[i].T for lv in levels[2:]], k, degrees) @ basis.T
+            for i in range(k)
         ]
-        starts = list(itertools.accumulate((k**p for p in range(1, d_H + 1)), initial=0))
-        degrees = [(p, slice(starts[p - 1], starts[p])) for p in range(1, d_H + 1)]
-        # blocks are written into preallocated C-ordered arrays: the
-        # products below round differently on a transposed layout
-        gram_f = np.empty((n_mono, n_mono))
-        for (p, rows), (q, cols) in itertools.product(degrees, repeat=2):
-            gram_f[rows, cols] = _word_block(levels[p + q], p, q)
-        self._gram_f = gram_f
-        self.var_embeddings = []
-        self.var_tables = []
-        for i in range(k):
-            self.var_embeddings.append(basis @ gram_f[self._mono_index[(i + 1,)]])
-            lifted = np.empty((n_mono, n_mono))
-            for (p, rows), (q, cols) in itertools.product(degrees, repeat=2):
-                lifted[rows, cols] = _word_block(levels[1 + p + q][i], q, p).T
-            # lifted[a, b] = <X_i X_vb, X_wa>; compress both sides
-            self.var_tables.append(basis @ lifted @ basis.T)
         self.first_cumulants = tuple(levels[1].tolist())
 
     def project_word(self, word):
@@ -299,13 +280,13 @@ class FockModel:
     The basis is the vacuum followed by all tensor words over the product
     one-particle basis, enumerated level by level in lexicographic order,
     so a word is its base-D numeral.  The total dimension 1 + D + ... +
-    D^n_max, the length of a state vector, is capped by max_dim;
+    D^n_max, the length of a state vector, is capped by MAX_FOCK_DIM;
     exceeding the cap raises CapacityError rather than silently
     truncating further.  Dense operator matrices have their own cap,
     MAX_DENSE_BYTES.
     """
 
-    def __init__(self, poly, time, n_max, max_dim=60000):
+    def __init__(self, poly, time, n_max):
         if not isinstance(poly, PolySpace):
             raise StructuralError("poly must be a PolySpace")
         if not isinstance(time, TimeComponent):
@@ -320,9 +301,9 @@ class FockModel:
             raise ValidationError("one-particle space is zero")
         dims = [self.hat_dim**m for m in range(n_max + 1)]
         total = sum(dims)
-        if total > max_dim:
+        if total > MAX_FOCK_DIM:
             raise CapacityError(
-                "truncated Fock dimension %d exceeds cap %d" % (total, max_dim)
+                "truncated Fock dimension %d exceeds cap %d" % (total, MAX_FOCK_DIM)
             )
         self.level_dims = tuple(dims)  # level 0 is the vacuum line
         offsets = [0]
@@ -421,19 +402,10 @@ class FockModel:
 
     def _stepper(self, op):
         """The light-cone step (v, top) -> levels 0..top of op applied to
-        the level prefix v, for a FockOperator of this model or a dense
-        matrix.  A matrix is applied through its leading block, so like
-        every Fock operator it must change particle number by at most
-        one."""
-        if isinstance(op, FockOperator):
-            if op.levels != self.levels:
-                raise StructuralError("operator does not act on this model's states")
-            return op._apply
-        M = np.asarray(op, dtype=float)
-        if M.shape != (self.dim, self.dim):
-            raise StructuralError("operator matrix must be %d x %d" % (self.dim, self.dim))
-        levels = self.levels
-        return lambda v, top: M[: levels[top].stop, : len(v)] @ v
+        the level prefix v, for a FockOperator of this model."""
+        if not isinstance(op, FockOperator) or op.levels != self.levels:
+            raise StructuralError("operator does not act on this model's states")
+        return op._apply
 
     def vacuum_moment(self, ops):
         """<A_1 ... A_r vacuum, vacuum> for a product applied left to
@@ -447,10 +419,9 @@ class FockModel:
         return float(v[0])
 
     def moment_table(self, ops, names, order):
-        """Joint vacuum-moment table of the given operators (FockOperators
-        or dense matrices) as an exact MomentFunctional (floats promoted to
-        their binary rationals).  Shares suffix states across words, one
-        step per word.
+        """Joint vacuum-moment table of the given FockOperators as an exact
+        MomentFunctional (floats promoted to their binary rationals).
+        Shares suffix states across words, one step per word.
 
         Light cone: every factor changes particle number by at most one,
         so the suffix state of a word of length n has no level above n,
@@ -478,11 +449,11 @@ class FockModel:
 build_poly_space = PolySpace
 
 
-def build_fock_model(cf, d_H, n_max, endpoints=(0, 1), max_dim=60000):
+def build_fock_model(cf, d_H, n_max, endpoints=(0, 1)):
     """Convenience constructor: poly space from the cumulant table plus a
     time component over the given endpoints."""
     poly = PolySpace(cf, d_H)
-    return FockModel(poly, TimeComponent.from_endpoints(endpoints), n_max, max_dim)
+    return FockModel(poly, TimeComponent.from_endpoints(endpoints), n_max)
 
 
 @dataclass(frozen=True)
@@ -560,7 +531,6 @@ def verify_levy_axioms(
     tol_moments=1e-9,
     tol_stationarity=1e-12,
     tol_freeness=1e-9,
-    max_dim=60000,
 ):
     """Check the defining properties of the realized process.
 
@@ -590,22 +560,24 @@ def verify_levy_axioms(
     target_mf = cumulants_to_moments(target_cf)
     sections = []
 
+    def increment_moments(breakpoints, intervals, names=target_mf.alphabet):
+        """Moment table of the increments over each interval in turn, each
+        in every variable, in a model over exactly these breakpoints."""
+        m = FockModel(poly, TimeComponent(breakpoints), n_sect)
+        ops = [m.levy_increment(i, s, t) for s, t in intervals for i in range(1, k + 1)]
+        return m.moment_table(ops, names, order)
+
     # marginal moments over the unit interval
-    m_unit = FockModel(poly, TimeComponent((0, 1)), n_sect, max_dim)
-    ops = [m_unit.levy_increment(i, 0, 1) for i in range(1, k + 1)]
-    table = m_unit.moment_table(ops, target_mf.alphabet, order)
+    unit = increment_moments((0, 1), [(0, 1)])
     errors = [
-        (target_mf.word_name(w), abs(float(table.moment(w) - target_mf.moment(w))))
-        for w in table.words()
+        (target_mf.word_name(w), abs(float(unit.moment(w) - target_mf.moment(w))))
+        for w in unit.words()
     ]
     sections.append(_section("marginal moments", errors, tol_moments))
 
     # stationarity: the law over (0,1) equals the law over (2,3)
-    m_station = FockModel(poly, TimeComponent((0, 1, 2, 3)), n_sect, max_dim)
-    ops01 = [m_station.levy_increment(i, 0, 1) for i in range(1, k + 1)]
-    ops23 = [m_station.levy_increment(i, 2, 3) for i in range(1, k + 1)]
-    t01 = m_station.moment_table(ops01, target_mf.alphabet, order)
-    t23 = m_station.moment_table(ops23, target_mf.alphabet, order)
+    t01 = increment_moments((0, 1, 2, 3), [(0, 1)])
+    t23 = increment_moments((0, 1, 2, 3), [(2, 3)])
     errors = [
         (t01.word_name(w), abs(float(t01.moment(w) - t23.moment(w))))
         for w in t01.words()
@@ -613,12 +585,9 @@ def verify_levy_axioms(
     sections.append(_section("stationarity", errors, tol_stationarity))
 
     # free increments: mixed cumulants across (0,1) and (1,2) vanish
-    m_free = FockModel(poly, TimeComponent((0, 1, 2)), n_sect, max_dim)
-    fam = [m_free.levy_increment(i, 0, 1) for i in range(1, k + 1)]
-    fam += [m_free.levy_increment(i, 1, 2) for i in range(1, k + 1)]
     names = ["a%d.early" % i for i in range(1, k + 1)]
     names += ["a%d.late" % i for i in range(1, k + 1)]
-    joint = m_free.moment_table(fam, names, order)
+    joint = increment_moments((0, 1, 2), [(0, 1), (1, 2)], names)
     joint_cf = moments_to_cumulants(joint)
     errors = []
     for w in joint_cf.words():
@@ -630,16 +599,16 @@ def verify_levy_axioms(
             )
     sections.append(_section("free increments", errors, tol_freeness))
 
-    # zero at the start, and the cumulant semigroup along shrinking t
+    # zero at the start, and the cumulant semigroup along shrinking t; at
+    # t = 1 the table is the marginal section's
     errors = []
+    m_unit = FockModel(poly, TimeComponent((0, 1)), n_sect)
     for i in range(1, k + 1):
         zero = m_unit.levy_increment(i, 0, 0)
         data = (zero.drift, zero.creation, zero.annihilation, zero.gauge)
         errors.append(("a[%d](0,0)" % i, float(max(np.abs(a).max() for a in data))))
     for t in (Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)):
-        m_t = FockModel(poly, TimeComponent((0, t)), n_sect, max_dim)
-        ops_t = [m_t.levy_increment(i, 0, t) for i in range(1, k + 1)]
-        tab = m_t.moment_table(ops_t, target_mf.alphabet, order)
+        tab = unit if t == 1 else increment_moments((0, t), [(0, t)])
         cf_t = moments_to_cumulants(tab)
         for w in cf_t.words():
             want = t * target_cf.cumulant(w)

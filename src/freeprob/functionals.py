@@ -167,6 +167,17 @@ class _WordTable:
         except KeyError:
             raise StructuralError("word %r not over alphabet 1..%d" % (w, self.arity))
 
+    def _level(self, n):
+        """The words of length n in canonical order, as an object array of
+        shape (k,)*n with the letter at position i on axis i."""
+        if n > self.order:
+            raise CapacityError(
+                "word of length %d beyond order cap %d" % (n, self.order)
+            )
+        values = (self._table[w] for w in iter_words(self.arity, n))
+        out = np.fromiter(values, dtype=object, count=self.arity**n)
+        return out.reshape((self.arity,) * n)
+
     def words(self, length=None):
         """Stored words in canonical order (by length, then lexicographic)."""
         if length is not None:
@@ -342,9 +353,7 @@ def _level_array(values, k, n):
         return None
     if k == 1:
         return values[0]
-    out = np.empty(len(values), dtype=object)
-    out[:] = values
-    return out.reshape((k,) * n)
+    return np.fromiter(values, dtype=object, count=len(values)).reshape((k,) * n)
 
 
 def _spread(level, axes, n, k):
@@ -359,16 +368,17 @@ def _spread(level, axes, n, k):
     return level.reshape(shape)
 
 
-def _transform(table, k, order, to_cumulants):
+def _transform(table, to_cumulants):
     """The first-block recursion in either direction, a word level at a
     time, on integers graded by one denominator per level.
 
     ``table`` is the given side: moments when ``to_cumulants``, else
     cumulants.  Returns the other side as a word -> Fraction dict.
     """
+    k, order = table.arity, table.order
     given, given_den = [None], [1]
     for n in range(1, order + 1):
-        values = [table[w] for w in iter_words(k, n)]
+        values = table._level(n).ravel().tolist()
         d = math.lcm(*{v.denominator for v in values})
         given_den.append(d)
         graded = [v.numerator * (d // v.denominator) for v in values]
@@ -428,7 +438,7 @@ def moments_to_cumulants(mf):
     """
     if not isinstance(mf, MomentFunctional):
         raise StructuralError("expected a MomentFunctional")
-    kappa = _transform(mf._table, mf.arity, mf.order, True)
+    kappa = _transform(mf, True)
     return CumulantFunctional._trusted(mf.alphabet, mf.order, kappa)
 
 
@@ -438,7 +448,7 @@ def cumulants_to_moments(cf):
     of moments_to_cumulants."""
     if not isinstance(cf, CumulantFunctional):
         raise StructuralError("expected a CumulantFunctional")
-    phi = _transform(cf._table, cf.arity, cf.order, False)
+    phi = _transform(cf, False)
     return MomentFunctional._trusted(cf.alphabet, cf.order, phi)
 
 

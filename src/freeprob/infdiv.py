@@ -13,6 +13,11 @@ tolerance a PASS is only approximate.
 
 The same elimination doubles as the rank-revealing decomposition the Fock
 construction needs, so it returns the pivot basis as well.
+
+Every Gram matrix in the package has the one layout f(w . reverse(v)) over
+words in canonical order, and ``_hankel`` cuts it from whole word levels:
+``gram_matrix`` on exact cumulants, ``fock.PolySpace`` on float ones, and
+``limits.poisson_approximation`` on a base's moments, empty word included.
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import StructuralError, ValidationError
 from .functionals import (
@@ -73,6 +80,22 @@ class GramMatrix:
         return acc
 
 
+def _hankel(levels, k, lengths):
+    """The matrix [f(w + reverse(v))] over the words w, v of the given
+    lengths in canonical order.  levels[n] holds f on the words of length
+    n, shape (k,)*n with letter i on axis i, and levels[0] f of the empty
+    word.  The result is a fresh C-ordered array of the levels' dtype; the
+    layout matters, since float products with it round by layout."""
+
+    def block(p, q):
+        # rows u of length p, columns v of length q: level[u + reverse(v)]
+        axes = tuple(range(p)) + tuple(range(p + q - 1, p - 1, -1))
+        return np.asarray(levels[p + q]).transpose(axes).reshape(k**p, k**q)
+
+    rows = [np.concatenate([block(p, q) for q in lengths], axis=1) for p in lengths]
+    return np.concatenate(rows)
+
+
 def gram_matrix(cf, k=None, degree=1):
     """Assemble the Gram matrix of a cumulant functional on the first k
     variables at the given degree.  Needs cumulants up to order 2*degree."""
@@ -88,13 +111,9 @@ def gram_matrix(cf, k=None, degree=1):
         raise ValidationError(
             "need cumulants to order %d, table stops at %d" % (2 * degree, cf.order)
         )
-    words = monomial_basis(k, degree)
-    entries = tuple(
-        tuple(cf.cumulant(w + v[::-1]) for v in words) for w in words
-    )
-    return GramMatrix(
-        alphabet=cf.alphabet[:k], degree=degree, words=words, entries=entries
-    )
+    levels = [None] + [cf._level(n)[(slice(k),) * n] for n in range(1, 2 * degree + 1)]
+    entries = tuple(map(tuple, _hankel(levels, k, range(1, degree + 1)).tolist()))
+    return GramMatrix(cf.alphabet[:k], degree, monomial_basis(k, degree), entries)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from .functionals import (
     iter_words_upto,
     moments_to_cumulants,
 )
-from .infdiv import psd_certificate
+from .infdiv import _hankel, psd_certificate
 from .models import (
     PoissonSpec,
     compound_free_poisson_cumulants,
@@ -331,8 +331,9 @@ def sequence_limit_check(labeled_tables, target_cf, order=None):
 class PoissonApproximation:
     """Compound Poisson approximants j * (target dilated by 1/j) together
     with their wordwise cumulant errors and a positivity diagnostic of the
-    dilated base at each j (the base may legitimately fail positivity for
-    small j; this is flagged, never refused)."""
+    dilated base at each j: whether the base is a state up to degree
+    max(1, order // 2), its moment Gram with the empty word PSD.  The base
+    may legitimately fail positivity for small j; flagged, never refused."""
 
     schedule: tuple
     order: int
@@ -367,12 +368,11 @@ def poisson_approximation(target_cf, schedule, order=None):
     for j in sched:
         base = cumulants_to_moments(dilate(target, Fraction(1, j)))
         approximants.append(compound_free_poisson_cumulants(Fraction(j), base))
+        # the base's moment Gram, with phi(empty word) = 1
         degree = max(1, order // 2)
-        base_cf_rows = [
-            [base.moment(w + v[::-1]) for v in iter_words_upto(base.arity, degree)]
-            for w in iter_words_upto(base.arity, degree)
-        ]
-        flags.append(psd_certificate(base_cf_rows).psd)
+        levels = [Fraction(1)] + [base._level(n) for n in range(1, 2 * degree + 1)]
+        gram = _hankel(levels, base.arity, range(degree + 1))
+        flags.append(psd_certificate(gram.tolist()).psd)
     report = _build_report(
         "poisson_approximation",
         sched,

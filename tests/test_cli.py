@@ -11,13 +11,18 @@ import jsonschema
 import pytest
 
 from freeprob.cli import main
-from freeprob.functionals import cumulants_to_moments, moments_to_cumulants
+from freeprob.functionals import (
+    CumulantFunctional,
+    cumulants_to_moments,
+    moments_to_cumulants,
+)
 from freeprob.jsonio import (
     dumps_canonical,
     functional_from_dict,
     functional_to_dict,
     load_schema,
     read_functional,
+    write_functional,
 )
 from freeprob.models import bernoulli, free_poisson, semicircle
 
@@ -309,6 +314,16 @@ def test_approx(tmp_path, capsys):
     )
     assert code == 0
     assert "not positive at j = 4" in out
+
+
+def test_approx_notes_a_base_that_is_no_state(tmp_path, capsys):
+    # kappa(x) = 1, kappa(x x) = -1: the base at j = 1 has moments 1 and 0,
+    # so variance -1, and every 1/j dilation has a negative variance too
+    target = tmp_path / "t.json"
+    write_functional(target, CumulantFunctional(("x",), 2, {(1,): 1, (1, 1): -1}))
+    code, out, _ = run_cli(capsys, "approx", "--target", str(target), "--j", "1,2,4")
+    assert code == 0
+    assert "note: base law not positive at j = 1, 2, 4" in out
 
 
 # -- run --------------------------------------------------------------------

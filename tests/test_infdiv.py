@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 
 from freeprob.errors import StructuralError, ValidationError
 from freeprob.freeness import free_product
-from freeprob.functionals import MomentFunctional, moments_to_cumulants
+from freeprob.functionals import (
+    CumulantFunctional,
+    MomentFunctional,
+    cumulants_to_moments,
+    moments_to_cumulants,
+)
 from freeprob.fock import DEFAULT_PIVOT_TOLERANCE
 from freeprob.functionals import as_scalar
 from freeprob.infdiv import (
@@ -58,6 +63,22 @@ def test_gram_entries_pair_words_with_reversal():
         gram_matrix(cf, degree=3)  # needs order 6
     with pytest.raises(ValidationError):
         gram_matrix(cf, k=5, degree=1)
+
+    # three letters, all words of a length valued differently (a word and
+    # its reversal too), so a misplaced axis shows; cut on the first k
+    # letters, from cumulants and from moments
+    coded = CumulantFunctional.from_function(
+        ("x", "y", "z"), 4, lambda w: F(sum(c * 4**i for i, c in enumerate(w)), len(w) + 1)
+    )
+    for table in (coded, cumulants_to_moments(coded)):
+        for k in (1, 2, 3):
+            g = gram_matrix(table, k=k, degree=2)
+            assert g.alphabet == ("x", "y", "z")[:k]
+            assert g.words == monomial_basis(k, 2)
+            assert [len(row) for row in g.entries] == [g.dimension] * g.dimension
+            for i, u in enumerate(g.words):
+                for j, v in enumerate(g.words):
+                    assert g.entries[i][j] == coded.cumulant(u + v[::-1])
 
 
 def test_psd_certificate_known_matrices():

@@ -149,6 +149,15 @@ def test_poisson_approximation_free_poisson_target():
         assert tab.cumulant((1,)) == target.cumulant((1,))
 
 
+def test_poisson_base_gram_includes_the_empty_word():
+    # kappa(x) = 1, kappa(x x) = -1: at j = 1 the base has moments 1 and 0,
+    # so its moment Gram [[1, 1], [1, 0]] is not PSD, while the Gram
+    # without the empty word, [[0]], is
+    target = CumulantFunctional(("x",), 2, {(1,): 1, (1, 1): -1})
+    approx = poisson_approximation(target, [1, 2, 4])
+    assert approx.base_gram_psd == (False, False, False)
+
+
 def test_poisson_approximation_flags_nonpositive_base():
     # dilating a two-point law out of positivity must be flagged, not refused
     from freeprob.models import bernoulli
