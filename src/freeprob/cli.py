@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .dsl import Session, run_source
 from .errors import FreeprobError, ParseError, ValidationError
-from .fock import build_fock_model, verify_levy_axioms
+from .fock import build_fock_model, levy_n_max, verify_levy_axioms
 from .functionals import (
     CumulantFunctional,
     MomentFunctional,
@@ -358,7 +358,7 @@ def _cmd_fock(args):
             "verifying at order %d needs a table of order >= %d, file has %d"
             % (args.order, need, cf.order)
         )
-    model = build_fock_model(cf, args.order, args.order)
+    model = build_fock_model(cf, args.order, levy_n_max(args.order))
     report = verify_levy_axioms(model, args.order)
     if args.json:
         _emit_json(report.to_json_dict())

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FreeprobError, ParseError, ValidationError
-from .fock import build_fock_model, verify_levy_axioms
+from .fock import build_fock_model, levy_n_max, verify_levy_axioms
 from .freeness import free_product
 from .functionals import MomentFunctional, moments_to_cumulants
 from .infdiv import check_infdiv
@@ -876,7 +876,7 @@ class Session:
                 raise DslEvalError("levy_check order must lie in 1..4")
             need = 2 * order + 1
             mf = group.functional(need).restrict(letters).relabel(stmt.names)
-            model = build_fock_model(moments_to_cumulants(mf), order, order)
+            model = build_fock_model(moments_to_cumulants(mf), order, levy_n_max(order))
             report = verify_levy_axioms(model, order)
             return EvalResult(
                 stmt,

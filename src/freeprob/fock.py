@@ -54,6 +54,9 @@ from .functionals import (
 from .infdiv import _hankel, gram_matrix, monomial_basis, psd_certificate
 
 DEFAULT_PIVOT_TOLERANCE = Fraction(1, 10**10)
+TOL_MOMENTS = 1e-9  # marginal moments and the semigroup in t
+TOL_STATIONARITY = 1e-12
+TOL_FREENESS = 1e-9
 MAX_DENSE_BYTES = 2**30  # largest dense operator matrix ``.matrix`` builds
 MAX_FOCK_DIM = 60000  # longest state vector a FockModel allows
 
@@ -74,7 +77,7 @@ class PolySpace:
     Hankel cuts (``infdiv._hankel``) of the float cumulant levels.
     """
 
-    def __init__(self, cf, d_H, tolerance=DEFAULT_PIVOT_TOLERANCE):
+    def __init__(self, cf, d_H):
         if not isinstance(cf, CumulantFunctional):
             raise StructuralError("PolySpace needs a CumulantFunctional")
         if d_H < 1:
@@ -91,7 +94,7 @@ class PolySpace:
         self._mono_index = {w: i for i, w in enumerate(self.monomials)}
 
         gram = gram_matrix(cf, cf.arity, d_H)
-        cert = psd_certificate(gram.row_lists(), tolerance)
+        cert = psd_certificate(gram.row_lists(), DEFAULT_PIVOT_TOLERANCE)
         if not cert.psd:
             names = [cf.word_name(w) for w in self.monomials]
             combo = ", ".join(
@@ -525,37 +528,36 @@ def _section(name, errors, tolerance):
     )
 
 
-def verify_levy_axioms(
-    model,
-    order,
-    tol_moments=1e-9,
-    tol_stationarity=1e-12,
-    tol_freeness=1e-9,
-):
+def levy_n_max(order):
+    """Particles the Levy check reads at ``order``: a word of length
+    <= order reaches particle level order // 2 at most on its light
+    cone, and a model needs at least one level."""
+    return max(1, order // 2)
+
+
+def verify_levy_axioms(model, order):
     """Check the defining properties of the realized process.
 
     Sections: marginal moments over (0,1) against the defining functional;
     stationarity of (0,1) vs (2,3); free independence of the increments
     over (0,1) and (1,2); vanishing at the empty interval together with
-    the cumulant semigroup in t over (0, t), t = 1, 1/2, 1/4, 1/8.
+    the cumulant semigroup in t over (0, t), t = 1, 1/2, 1/4, 1/8.  The
+    tolerances are TOL_MOMENTS, TOL_STATIONARITY and TOL_FREENESS.
 
     Each section runs in its own small model over exactly the breakpoints
-    it mentions, truncated at the n_max = max(1, order // 2) particles
-    that the light cone of ``moment_table`` reads; all models share the
-    poly space of ``model``.
+    it mentions, truncated at the levy_n_max(order) particles that the
+    light cone of ``moment_table`` reads; all models share the poly space
+    of ``model``, whose own n_max is only copied into the summary.  Only
+    order <= d_H is required.
     """
     if not isinstance(model, FockModel):
         raise StructuralError("expected a FockModel")
     poly = model.poly
     k = poly.arity
-    if order > model.n_max:
-        raise ValidationError("order %d beyond n_max %d" % (order, model.n_max))
     if order > poly.d_H:
         raise ValidationError("order %d beyond d_H %d" % (order, poly.d_H))
 
-    # a word of length <= order reaches particle level order // 2 at most
-    # on its light cone, so the section models stop there
-    n_sect = max(1, order // 2)
+    n_sect = levy_n_max(order)
     target_cf = poly.cf.truncate(order)
     target_mf = cumulants_to_moments(target_cf)
     sections = []
@@ -573,7 +575,7 @@ def verify_levy_axioms(
         (target_mf.word_name(w), abs(float(unit.moment(w) - target_mf.moment(w))))
         for w in unit.words()
     ]
-    sections.append(_section("marginal moments", errors, tol_moments))
+    sections.append(_section("marginal moments", errors, TOL_MOMENTS))
 
     # stationarity: the law over (0,1) equals the law over (2,3)
     t01 = increment_moments((0, 1, 2, 3), [(0, 1)])
@@ -582,7 +584,7 @@ def verify_levy_axioms(
         (t01.word_name(w), abs(float(t01.moment(w) - t23.moment(w))))
         for w in t01.words()
     ]
-    sections.append(_section("stationarity", errors, tol_stationarity))
+    sections.append(_section("stationarity", errors, TOL_STATIONARITY))
 
     # free increments: mixed cumulants across (0,1) and (1,2) vanish
     names = ["a%d.early" % i for i in range(1, k + 1)]
@@ -597,7 +599,7 @@ def verify_levy_axioms(
             errors.append(
                 (joint_cf.word_name(w), abs(float(joint_cf.cumulant(w))))
             )
-    sections.append(_section("free increments", errors, tol_freeness))
+    sections.append(_section("free increments", errors, TOL_FREENESS))
 
     # zero at the start, and the cumulant semigroup along shrinking t; at
     # t = 1 the table is the marginal section's
@@ -618,7 +620,7 @@ def verify_levy_axioms(
                     abs(float(cf_t.cumulant(w) - want)),
                 )
             )
-    sections.append(_section("semigroup in t", errors, tol_moments))
+    sections.append(_section("semigroup in t", errors, TOL_MOMENTS))
 
     return LevyReport(
         order=order, summary=model.summary(), sections=tuple(sections)

@@ -6,6 +6,11 @@ N times the row cumulants.  ``free_sum_moments`` keeps the brute-force
 route (materialize the free copies, expand each word of sums into N^n
 moment terms) so the scaling shortcut never goes unchecked.
 
+Every projection-array check is a compound free Poisson limit: rows
+base (x) projections of trace rate/N under one of three couplings, limit
+cumulants the base moments times the coupling's rate.  The free Poisson
+checks take as base the jumps, a law of commuting constants.
+
 Everything here is exact; the only floats are fitted decay exponents in
 reports, which are diagnostics, not results.
 """
@@ -29,6 +34,8 @@ from .functionals import (
 from .infdiv import _hankel, psd_certificate
 from .models import (
     PoissonSpec,
+    _constants_law,
+    _default_names,
     compound_free_poisson_cumulants,
     cumulants_to_moments,
     projection_family,
@@ -207,55 +214,50 @@ def _check_schedule(schedule, spec, model):
     return sched
 
 
-def _projection_limit_target(spec, model):
-    def target(w):
-        pure = all(c == w[0] for c in w)
-        if model == "equal":
-            out = spec.rates[0]
-            for c in w:
-                out *= spec.jumps[c - 1]
-            return out
-        if pure:
-            i = w[0]
-            return spec.rates[i - 1] * spec.jumps[i - 1] ** len(w)
-        return Fraction(0)
-
-    return target
-
-
-def _projection_report(kind, spec, model, schedule, order, names):
+def _compound_report(kind, base, spec, model, schedule, order):
+    """Rows base (x) projection_family(rates, N, order, model) along the
+    schedule, against base moments times the coupling's rate: rates[0]
+    under the equal coupling, rates[i] on a pure word of letter i and 0
+    on a mixed word under the other two."""
     sched = _check_schedule(schedule, spec, model)
     tables = []
     for n in sched:
-        row = projection_family(spec.rates, n, order, model, names=names)
-        tables.append(array_cumulants(row.scale_letters(spec.jumps), n, order))
+        proj = projection_family(spec.rates, n, order, model)
+        row = base.tensor(proj, alphabet=base.alphabet)
+        tables.append(array_cumulants(row, n, order))
+
+    def target(w):
+        if model == "equal":
+            return base.moment(w) * spec.rates[0]
+        if all(c == w[0] for c in w):
+            return base.moment(w) * spec.rates[w[0] - 1]
+        return Fraction(0)
+
     return _build_report(
-        kind,
-        sched,
-        order,
-        spec.size,
-        tables,
-        _projection_limit_target(spec, model),
-        tables[0].word_name,
+        kind, sched, order, base.arity, tables, target, base.word_name
     )
 
 
 def poisson_limit_check(rate, jump, schedule, order):
     """Sums of N free scaled projections against the free Poisson limit
-    kappa_m = rate * jump^m, along the schedule of sizes."""
+    kappa_m = rate * jump^m, along the schedule of sizes: the compound
+    rows over the point mass at the jump."""
     spec = PoissonSpec.of([rate], [jump])
-    return _projection_report("poisson", spec, "equal", schedule, order, ("x",))
+    base = _constants_law(spec.jumps, order, ("x",))
+    return _compound_report("poisson", base, spec, "equal", schedule, order)
 
 
-def multi_poisson_limit_check(spec, model, schedule, order, names=None):
-    """Row of jointly modeled projections, scaled by the jump sizes,
-    against the closed-form limit of the coupling: the equal coupling
-    tends to rate * product of jumps, the orthogonal and free couplings
-    kill every mixed word and give the one-variable limit on pure words."""
+def multi_poisson_limit_check(spec, model, schedule, order):
+    """Row of jointly modeled projections, scaled by the jump sizes: the
+    compound rows over the law of the jumps as commuting constants.  The
+    equal coupling tends to rate * product of jumps, the orthogonal and
+    free couplings kill every mixed word and give the one-variable limit
+    on pure words."""
     if not isinstance(spec, PoissonSpec):
         raise StructuralError("spec must be a PoissonSpec")
-    return _projection_report(
-        "multi_poisson[%s]" % model, spec, model, schedule, order, names
+    base = _constants_law(spec.jumps, order, _default_names("p", spec.size))
+    return _compound_report(
+        "multi_poisson[%s]" % model, base, spec, model, schedule, order
     )
 
 
@@ -275,25 +277,8 @@ def compound_limit_check(base, spec, model, schedule, order):
         )
     if order > base.order:
         raise ValidationError("order %d beyond base order %d" % (order, base.order))
-    sched = _check_schedule(schedule, spec, model)
-    proj_target = _projection_limit_target(spec, model)
-    tables = []
-    for n in sched:
-        proj = projection_family(spec.rates, n, order, model)
-        row = base.tensor(proj, alphabet=base.alphabet)
-        tables.append(array_cumulants(row, n, order))
-
-    def target(w):
-        return base.moment(w) * proj_target(w)
-
-    return _build_report(
-        "compound[%s]" % model,
-        sched,
-        order,
-        base.arity,
-        tables,
-        target,
-        base.word_name,
+    return _compound_report(
+        "compound[%s]" % model, base, spec, model, schedule, order
     )
 
 
@@ -332,8 +317,9 @@ class PoissonApproximation:
     """Compound Poisson approximants j * (target dilated by 1/j) together
     with their wordwise cumulant errors and a positivity diagnostic of the
     dilated base at each j: whether the base is a state up to degree
-    max(1, order // 2), its moment Gram with the empty word PSD.  The base
-    may legitimately fail positivity for small j; flagged, never refused."""
+    order // 2, its moment Gram with the empty word PSD (at order 1 the
+    Gram of the empty word alone).  The base may legitimately fail
+    positivity for small j; flagged, never refused."""
 
     schedule: tuple
     order: int
@@ -369,7 +355,7 @@ def poisson_approximation(target_cf, schedule, order=None):
         base = cumulants_to_moments(dilate(target, Fraction(1, j)))
         approximants.append(compound_free_poisson_cumulants(Fraction(j), base))
         # the base's moment Gram, with phi(empty word) = 1
-        degree = max(1, order // 2)
+        degree = order // 2
         levels = [Fraction(1)] + [base._level(n) for n in range(1, 2 * degree + 1)]
         gram = _hankel(levels, base.arity, range(degree + 1))
         flags.append(psd_certificate(gram.tolist()).psd)

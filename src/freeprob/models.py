@@ -98,8 +98,19 @@ def semicircle(radius=2, order=8, name="s"):
     return semicircle_family(((variance,),), order, names=(name,))
 
 
+def _constants_law(values, order, names):
+    """Law of commuting constants: phi(w) is the product of values[c - 1]
+    over the letters c of w.  With one letter it is the point mass at
+    values[0]."""
+    table = {}
+    for w in iter_words_upto(len(values), order):
+        table[w] = table.get(w[:-1], Fraction(1)) * values[w[-1] - 1]
+    return MomentFunctional(names, order, table)
+
+
 def free_poisson(rate, jump=1, order=8, name="x"):
-    """Free Poisson element: cumulant of every length n equals
+    """Free Poisson element: the compound free Poisson law over the
+    point mass at ``jump``, so the cumulant of every length n equals
     rate * jump**n."""
     lam = as_scalar(rate)
     alpha = as_scalar(jump)
@@ -109,13 +120,7 @@ def free_poisson(rate, jump=1, order=8, name="x"):
         raise ValidationError("jump must be nonzero")
     if order < 1:
         raise ValidationError("order must be >= 1")
-    table = {}
-    power = Fraction(1)
-    for n in range(1, order + 1):
-        power *= alpha
-        table[(1,) * n] = lam * power
-    cf = CumulantFunctional((name,), order, table)
-    return cumulants_to_moments(cf)
+    return compound_free_poisson(lam, _constants_law((alpha,), order, (name,)))
 
 
 def compound_free_poisson_cumulants(rate, base, order=None):
@@ -137,8 +142,10 @@ def compound_free_poisson_cumulants(rate, base, order=None):
 
 
 def compound_free_poisson(rate, base, order=None):
-    """Moment functional of the compound free Poisson family.  With a
-    one-point base at jump alpha this reduces to free_poisson(rate, alpha)."""
+    """Moment functional of the compound free Poisson family, the one
+    Poisson primitive: free_poisson is this law over a point mass, and
+    the projection-array limits of ``limits`` tend to it over a base
+    law."""
     return cumulants_to_moments(compound_free_poisson_cumulants(rate, base, order))
 
 

@@ -8,11 +8,13 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from freeprob.cli import main
 from freeprob.functionals import (
     CumulantFunctional,
+    MomentFunctional,
     cumulants_to_moments,
     moments_to_cumulants,
 )
@@ -24,7 +26,12 @@ from freeprob.jsonio import (
     read_functional,
     write_functional,
 )
-from freeprob.models import bernoulli, free_poisson, semicircle
+from freeprob.models import (
+    bernoulli,
+    compound_free_poisson_cumulants,
+    free_poisson,
+    semicircle,
+)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -295,6 +302,38 @@ def test_fock_verify(tmp_path, capsys):
     assert "order" in err
 
 
+def test_fock_verify_builds_only_the_particles_it_reads(tmp_path, capsys):
+    # compound free Poisson law, rate 3, over the tracial state of two 4 x 4
+    # matrices: poly dimension 16, so a model at n_max = order = 4 exceeds
+    # the Fock dimension cap (69,905 > 60,000), while n_max = 2 reads every
+    # particle level the order-4 check needs
+    mats = [
+        np.array(m, dtype=object)
+        for m in (
+            [[1, 2, 0, -1], [2, -1, 1, 0], [0, 1, 2, 1], [-1, 0, 1, -2]],
+            [[0, 1, -1, 2], [1, 3, 0, 1], [-1, 0, -2, 1], [2, 1, 1, 0]],
+        )
+    ]
+
+    def phi(w):
+        prod = np.eye(4, dtype=int).astype(object)
+        for c in w:
+            prod = prod.dot(mats[c - 1])
+        return F(int(np.trace(prod)), 4 * 2 ** len(w))
+
+    base = MomentFunctional.from_function(("x", "y"), 9, phi)
+    path = tmp_path / "k.json"
+    write_functional(path, compound_free_poisson_cumulants(3, base))
+    code, out, err = run_cli(
+        capsys, "fock", "verify", "--in", str(path), "--order", "4", "--json"
+    )
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["passed"] is True
+    assert payload["summary"]["n_max"] == 2
+    assert payload["summary"]["dim_fock"] == 1 + 16 + 16**2
+
+
 # -- approx -----------------------------------------------------------------
 
 
@@ -314,6 +353,14 @@ def test_approx(tmp_path, capsys):
     )
     assert code == 0
     assert "not positive at j = 4" in out
+
+    # order 1 reads no moment beyond length 1: the base Gram is the 1 x 1
+    # Gram of the empty word
+    code, out, err = run_cli(
+        capsys, "approx", "--target", str(target), "--j", "1,10,100", "--order", "1"
+    )
+    assert code == 0, err
+    assert "convergence, order 1" in out
 
 
 def test_approx_notes_a_base_that_is_no_state(tmp_path, capsys):

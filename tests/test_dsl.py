@@ -446,6 +446,7 @@ def test_levy_check_query():
     run_source("let s = semicircle()", session)
     (res,) = run_source("levy_check(s, order=2)", session)
     assert res.value.passed
+    assert res.value.summary["n_max"] == 1  # the one level order 2 reads
     assert "PASS" in res.text
     with pytest.raises(DslEvalError, match="1..4"):
         run_source("levy_check(s, order=5)", session)

@@ -15,6 +15,7 @@ from freeprob.fock import (
     TimeComponent,
     build_fock_model,
     build_poly_space,
+    levy_n_max,
     verify_levy_axioms,
 )
 from freeprob.freeness import free_product
@@ -277,7 +278,7 @@ def test_levy_axioms_correlated_pair():
 def test_levy_axioms_validation():
     model = build_fock_model(sc_cf(5), 2, 2)
     with pytest.raises(ValidationError):
-        verify_levy_axioms(model, 3)  # beyond n_max and d_H
+        verify_levy_axioms(model, 3)  # beyond d_H
     deep = build_fock_model(sc_cf(5), 2, 3)
     with pytest.raises(ValidationError):
         verify_levy_axioms(deep, 3)  # n_max fine, d_H too small
@@ -594,3 +595,27 @@ def test_levy_axioms_at_order_four_over_a_3x3_state():
     rep = verify_levy_axioms(model, 4)
     assert rep.passed, rep.to_text()
     assert rep.summary == model.summary()
+
+
+def test_levy_check_reads_no_n_max_of_the_model():
+    # k = 2 compound free Poisson law, rate 3, over the tracial state of two
+    # 4 x 4 matrices: poly dimension 16, so a model at n_max = order = 4
+    # would need 69,905 > the 60,000 cap, and the check refused any model
+    # with n_max < order although its section models stop at levy_n_max
+    mats = (
+        [[1, 2, 0, -1], [2, -1, 1, 0], [0, 1, 2, 1], [-1, 0, 1, -2]],
+        [[0, 1, -1, 2], [1, 3, 0, 1], [-1, 0, -2, 1], [2, 1, 1, 0]],
+    )
+    poly = PolySpace(compound_free_poisson_cumulants(3, matrix_state(mats, 2, 9)), 4)
+    assert poly.dim == 16
+    with pytest.raises(CapacityError):
+        FockModel(poly, TimeComponent((0, 1)), 4)
+    assert [levy_n_max(order) for order in (1, 2, 3, 4, 5)] == [1, 1, 1, 2, 2]
+    reports = []
+    for n_max in (1, levy_n_max(4)):
+        model = FockModel(poly, TimeComponent((0, 1)), n_max)
+        rep = verify_levy_axioms(model, 4)
+        assert rep.passed, rep.to_text()
+        assert rep.summary == model.summary()
+        reports.append(rep)
+    assert reports[0].sections == reports[1].sections

@@ -1,6 +1,9 @@
 from fractions import Fraction as F
+from math import ceil
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freeprob.errors import StructuralError, ValidationError
 from freeprob.functionals import (
@@ -9,6 +12,8 @@ from freeprob.functionals import (
     moments_to_cumulants,
 )
 from freeprob.limits import (
+    _build_report,
+    _check_schedule,
     array_cumulants,
     compound_limit_check,
     dilate,
@@ -19,6 +24,7 @@ from freeprob.limits import (
     sequence_limit_check,
 )
 from freeprob.models import (
+    PROJECTION_MODELS,
     PoissonSpec,
     free_poisson,
     projection_family,
@@ -147,6 +153,10 @@ def test_poisson_approximation_free_poisson_target():
     assert approx.report.row((1, 1)).errors == (1, F(1, 10))
     for tab, j in zip(approx.approximants, (1, 10)):
         assert tab.cumulant((1,)) == target.cumulant((1,))
+    # at order 1 the base Gram is the 1 x 1 Gram of the empty word
+    first = poisson_approximation(target, [1, 10], order=1)
+    assert first.report.row((1,)).errors == (0, 0)
+    assert first.base_gram_psd == (True, True)
 
 
 def test_poisson_base_gram_includes_the_empty_word():
@@ -170,3 +180,82 @@ def test_poisson_approximation_flags_nonpositive_base():
         poisson_approximation(target, [])
     with pytest.raises(ValidationError):
         poisson_approximation(target, [1], order=9)
+
+
+# -- the projection route the compound route replaced, kept as its oracle
+
+
+def projection_route_report(kind, spec, model, schedule, order, names):
+    """Rows of projections scaled by the jumps, against the jump-weighted
+    closed-form limits."""
+    sched = _check_schedule(schedule, spec, model)
+    tables = []
+    for n in sched:
+        row = projection_family(spec.rates, n, order, model, names=names)
+        tables.append(array_cumulants(row.scale_letters(spec.jumps), n, order))
+
+    def target(w):
+        if model == "equal":
+            out = spec.rates[0]
+            for c in w:
+                out *= spec.jumps[c - 1]
+            return out
+        if all(c == w[0] for c in w):
+            return spec.rates[w[0] - 1] * spec.jumps[w[0] - 1] ** len(w)
+        return F(0)
+
+    return _build_report(
+        kind, sched, order, spec.size, tables, target, tables[0].word_name
+    )
+
+
+rationals = st.builds(F, st.integers(1, 7), st.integers(1, 4))
+signed = st.builds(lambda q, neg: -q if neg else q, rationals, st.booleans())
+
+
+@st.composite
+def poisson_cases(draw, max_k=3):
+    k = draw(st.integers(1, max_k))
+    model = draw(st.sampled_from(PROJECTION_MODELS))
+    if model == "equal":
+        rates = [draw(rationals)] * k
+    else:
+        rates = draw(st.lists(rationals, min_size=k, max_size=k))
+    jumps = draw(st.lists(signed, min_size=k, max_size=k))
+    spec = PoissonSpec.of(rates, jumps)
+    lower = ceil(sum(rates)) if model == "orthogonal" else ceil(max(rates))
+    offsets = draw(st.lists(st.integers(0, 200), min_size=1, max_size=3, unique=True))
+    schedule = sorted(lower + d for d in offsets)
+    return spec, model, schedule, draw(st.integers(1, 5))
+
+
+@settings(max_examples=40, deadline=None)
+@given(poisson_cases(max_k=1))
+def test_poisson_limit_check_matches_the_projection_route(case):
+    spec, _, schedule, order = case
+    report = poisson_limit_check(spec.rates[0], spec.jumps[0], schedule, order)
+    oracle = projection_route_report(
+        "poisson", spec, "equal", schedule, order, ("x",)
+    )
+    # rows compare word, word name, values, target, errors, decay exponent
+    assert report == oracle
+
+
+@settings(max_examples=100, deadline=None)
+@given(poisson_cases())
+def test_multi_poisson_limit_check_matches_the_projection_route(case):
+    spec, model, schedule, order = case
+    report = multi_poisson_limit_check(spec, model, schedule, order)
+    oracle = projection_route_report(
+        "multi_poisson[%s]" % model, spec, model, schedule, order, None
+    )
+    # rows compare word, word name, values, target, errors, decay exponent
+    assert report == oracle
+
+
+@settings(max_examples=40, deadline=None)
+@given(rationals, signed, st.integers(1, 8))
+def test_free_poisson_is_the_direct_cumulant_table(rate, jump, order):
+    table = {(1,) * n: rate * jump**n for n in range(1, order + 1)}
+    direct = cumulants_to_moments(CumulantFunctional(("y",), order, table))
+    assert free_poisson(rate, jump, order, name="y") == direct
