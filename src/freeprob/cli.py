@@ -4,6 +4,7 @@ One process runs one subcommand:
 
     freeprob nc enumerate 4
     freeprob nc mobius 4 --pi "1 4|2 3"
+    freeprob nc mobius 4 --sigma "1 2|3 4"
     freeprob transform m2c --in moments.json --out cumulants.json
     freeprob model free_poisson --rate 1 --jump 1 --order 6 --out fp.json
     freeprob limit poisson --spec spec.json --schedule 10,100,1000 --order 4
@@ -25,7 +26,7 @@ import sys
 from fractions import Fraction
 
 from .dsl import Session, run_source
-from .errors import FreeprobError, ParseError, ValidationError
+from .errors import DomainError, FreeprobError, ParseError, ValidationError
 from .fock import build_fock_model, levy_n_max, verify_levy_axioms
 from .functionals import (
     CumulantFunctional,
@@ -57,7 +58,15 @@ from .models import (
     semicircle,
     semicircle_family,
 )
-from .partitions import NcPartition, catalan_number, enumerate_nc, full, mobius
+from .partitions import (
+    NcPartition,
+    catalan_number,
+    enumerate_nc,
+    full,
+    interval,
+    mobius,
+    singletons,
+)
 
 
 def _rational(text):
@@ -160,11 +169,9 @@ def _cmd_nc_enumerate(args):
 
 def _cmd_nc_mobius(args):
     n = args.n
-    if args.pi is not None:
-        pi = NcPartition(n, _partition(args.pi))
-        sigma = (
-            full(n) if args.sigma is None else NcPartition(n, _partition(args.sigma))
-        )
+    pi = None if args.pi is None else NcPartition(n, _partition(args.pi))
+    sigma = full(n) if args.sigma is None else NcPartition(n, _partition(args.sigma))
+    if pi is not None:
         value = mobius(pi, sigma)
         if args.json:
             _emit_json(
@@ -173,13 +180,14 @@ def _cmd_nc_mobius(args):
         else:
             _emit("mobius(%s, %s) = %d" % (pi, sigma, value))
         return 0
-    top = full(n)
-    rows = [(str(p), mobius(p, top)) for p in enumerate_nc(n)]
+    if n < 1:  # no table for NC(0), in the words of `nc enumerate 0`
+        raise DomainError("enumerate_nc needs n >= 1")
+    rows = [(str(p), mobius(p, sigma)) for p in interval(singletons(n), sigma)]
     if args.json:
         _emit_json(
             {
                 "n": n,
-                "sigma": str(top),
+                "sigma": str(sigma),
                 "values": [{"partition": s, "mobius": v} for s, v in rows],
             }
         )

@@ -6,24 +6,24 @@ the non-crossing closure of the set-partition join, and the Mobius function
 is obtained by inverting the zeta function of the lattice, never from a
 closed product formula.  All values are exact integers.
 
-Enumeration follows the first-block recursion: the block containing 1 cuts
-the remaining points into independent gaps, each of which carries its own
-non-crossing partition.  This never generates a crossing candidate, so no
-filtering step is involved.  Each NC(n) is listed once and stored.
-Intervals, and the coarsenings the Mobius recursion sums over, come from a
-pruned merge search whose cost follows the answer, not |NC(n)|.
+Every listing is one pruned merge search over the blocks of a partition,
+whose cost follows the answer: an interval [p, q] is the non-crossing merges
+of p's blocks inside q's blocks, NC(n) itself is [0_n, 1_n], and the Mobius
+recursion sums over the upper intervals [tau, 1_m].  No crossing candidate is
+ever generated, so no filtering step is involved.  Each NC(n) is listed once
+and stored.
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
+from collections import Counter
 from functools import lru_cache
 from math import comb
 
 from .errors import CapacityError, DomainError, StructuralError, ValidationError
 
-# Enumeration refuses beyond this order; NC(15) already has ~9.7e6 elements.
+# Listings refuse to grow beyond NC(ORDER_CAP), which has ~9.7e6 elements.
 ORDER_CAP = 15
 
 Blocks = tuple  # tuple[tuple[int, ...], ...] in canonical form
@@ -42,6 +42,23 @@ def _check_order(n):
         raise ValidationError("n must be an integer, got %r" % (n,))
     if n < 0:
         raise DomainError("n must be >= 0, got %d" % n)
+
+
+def _check_merges(counts):
+    """Refuse a merge search over groups of ``counts`` blocks that could list
+    more than NC(ORDER_CAP), before it starts.  Ordered by their minima, b
+    blocks merge into distinct members of NC(b) on their indices (a crossing
+    of indices would cross the merged blocks), so a group of b blocks has at
+    most Catalan(b) merges and the search at most their product."""
+    cap = catalan_number(ORDER_CAP)
+    bound = 1
+    for b in counts:
+        bound *= catalan_number(min(b, ORDER_CAP + 1))
+        if bound > cap:
+            raise CapacityError(
+                "listing may exceed the cap of %d partitions, |NC(%d)|"
+                % (cap, ORDER_CAP)
+            )
 
 
 def _canonical_blocks(n, blocks):
@@ -180,54 +197,22 @@ def full(n):
     return NcPartition._trusted(n, (tuple(range(1, n + 1)),) if n else ())
 
 
-def _shift_blocks(blocks, offset):
-    return tuple(tuple(x + offset for x in b) for b in blocks)
-
-
-@lru_cache(maxsize=None)
-def _nc_blocks(n):
-    """All canonical block tuples of NC(n), sorted lexicographically."""
-    if n == 0:
-        return ((),)
-    out = []
-    for size in range(0, n):
-        for tail in itertools.combinations(range(2, n + 1), size):
-            first = (1,) + tail
-            # gaps between consecutive members of the first block
-            gaps = []
-            for a, b in zip(first, first[1:] + (n + 1,)):
-                if b - a > 1:
-                    gaps.append((a, b - a - 1))  # (left endpoint, width)
-            if not gaps:
-                out.append((first,))
-                continue
-            choices = [
-                [_shift_blocks(sub, left) for sub in _nc_blocks(width)]
-                for left, width in gaps
-            ]
-            for parts in itertools.product(*choices):
-                merged = (first,)
-                for part in parts:
-                    merged += part
-                out.append(merged)
-    out.sort()
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
 def _nc_partitions(n):
-    return tuple([NcPartition._trusted(n, blocks) for blocks in _nc_blocks(n)])
+    # NC(n) is the interval [0_n, 1_n]: every merge of the n singletons
+    rhos = _coarsenings(n, tuple((i,) for i in range(1, n + 1)), [0] * (n + 1))
+    return tuple([NcPartition._trusted(n, r) for r in sorted(rhos)])
 
 
 def enumerate_nc(n):
     """All non-crossing partitions of {1..n} in canonical lexicographic
     order.  Counts match the Catalan numbers.  NC(n) is stored once built:
-    a call copies the list of its immutable partitions."""
+    a call copies the list of its immutable partitions.  CapacityError for
+    n > ORDER_CAP."""
     _check_order(n)
     if n < 1:
         raise DomainError("enumerate_nc needs n >= 1")
-    if n > ORDER_CAP:
-        raise CapacityError("order %d exceeds cap %d" % (n, ORDER_CAP))
+    _check_merges([n])
     return list(_nc_partitions(n))
 
 
@@ -333,28 +318,30 @@ def _coarsenings(n, blocks, group):
     Blocks are placed by their minimum x, each opening a block of rho or
     joining an open one R of its label.  Every point left of x is placed, so
     the join crosses nothing iff each block met between x and R's last point
-    r before x lies strictly between r and x.  A non-crossing partial merge
-    completes with the remaining blocks left alone, so every branch ends in
-    a member: the work is O(|result| * |blocks| * n)."""
+    r before x lies strictly between r and x: those R are the blocks met
+    walking left from x block by block, up to the first that reaches past x.
+    A non-crossing partial merge completes with the remaining blocks left
+    alone, so every branch ends in a member: the work is
+    O(|result| * |blocks| * n)."""
     owner = [0] * (n + 1)  # the rho block of every placed point
     rho, out = [], []
-
-    def fits(k, x):
-        r = x - 1
-        while owner[r] != k:
-            r -= 1
-        return all(rho[s][0] > r and rho[s][-1] < x for s in owner[r + 1 : x])
 
     def place(i):
         if i == len(blocks):
             out.append(tuple(rho))
             return
         b = blocks[i]
-        for k in range(len(rho) + 1):
+        joins, y = [], b[0] - 1
+        while y:
+            k = owner[y]
+            if group[y] == group[b[0]]:
+                joins.append(k)
+            if rho[k][-1] > b[0]:
+                break
+            y = rho[k][0] - 1
+        for k in joins + [len(rho)]:
             if k == len(rho):  # open a block of rho, always last
                 rho.append(())
-            elif group[rho[k][0]] != group[b[0]] or not fits(k, b[0]):
-                continue
             kept = rho[k]
             cut = bisect.bisect(kept, b[0])
             rho[k] = kept[:cut] + b + kept[cut:]
@@ -374,13 +361,9 @@ def _mu_to_top(blocks):
     if len(blocks) == 1:
         return 1
     n = max(b[-1] for b in blocks)
-    if len(blocks) == n:  # the minimum: the stored listing is at hand
-        rhos = _nc_blocks(n)
-    else:
-        rhos = _coarsenings(n, blocks, [0] * (n + 1))
     acc = 0
     mu = {}  # the same block of rho recurs across many rho
-    for rho in rhos:
+    for rho in _coarsenings(n, blocks, [0] * (n + 1)):
         if len(rho) == 1:  # the top
             continue
         term = 1
@@ -396,23 +379,31 @@ def mobius(p, q):
     """Mobius function mu(p, q) of the non-crossing partition lattice.
 
     Exact integer; raises DomainError when p is not a refinement of q
-    (the function is undefined there, not zero).
+    (the function is undefined there, not zero).  The factor of a block of
+    q holding b blocks of p sums over at most Catalan(b) merges, so
+    CapacityError is raised, before anything is listed, when b > ORDER_CAP.
     """
     _check_same_ground(p, q)
     if not leq(p, q):
         raise DomainError("mobius undefined: %s is not below %s" % (p, q))
+    taus = [_restrict_relabel(p.blocks, set(block)) for block in q.blocks]
+    _check_merges([max(map(len, taus), default=0)])
     result = 1
-    for block in q.blocks:
-        result *= _mu_to_top(_restrict_relabel(p.blocks, set(block)))
+    for tau in taus:
+        result *= _mu_to_top(tau)
     return result
 
 
 def interval(p, q):
     """All partitions rho with p <= rho <= q, in canonical order: the
     non-crossing merges of p's blocks inside q's blocks, which the merge
-    search lists at a cost that follows the size of the interval."""
+    search lists at a cost that follows the size of the interval.  A block
+    of q holding b blocks of p has at most Catalan(b) merges: CapacityError
+    before anything is listed when their product exceeds |NC(ORDER_CAP)|."""
     _check_same_ground(p, q)
     if not leq(p, q):
         raise DomainError("empty interval: %s is not below %s" % (p, q))
-    members = _coarsenings(p.n, p.blocks, _block_index(q.n, q.blocks))
+    group = _block_index(q.n, q.blocks)
+    _check_merges(Counter(group[b[0]] for b in p.blocks).values())
+    members = _coarsenings(p.n, p.blocks, group)
     return [NcPartition._trusted(p.n, r) for r in sorted(members)]

@@ -91,6 +91,31 @@ def test_nc_mobius_table(capsys):
     assert total == 0  # mu sums to zero over a nontrivial interval
 
 
+def test_nc_mobius_table_below_sigma(capsys):
+    code, out, _ = run_cli(capsys, "nc", "mobius", "3", "--sigma", "1 2|3")
+    assert code == 0
+    assert out.splitlines() == ["1|2|3  -1", "1 2|3  1"]
+    code, out, _ = run_cli(capsys, "nc", "mobius", "4", "--sigma", "1 2|3 4", "--json")
+    payload = json.loads(out)
+    assert payload["sigma"] == "1 2|3 4"
+    assert [v["partition"] for v in payload["values"]] == [
+        "1|2|3|4",
+        "1|2|3 4",
+        "1 2|3|4",
+        "1 2|3 4",
+    ]
+    assert [v["mobius"] for v in payload["values"]] == [1, -1, -1, 1]
+    code, _, err = run_cli(capsys, "nc", "mobius", "0")
+    assert code == 1 and "n >= 1" in err
+
+
+def test_nc_mobius_refuses_beyond_the_cap(capsys):
+    bottom = "|".join(str(i) for i in range(1, 17))
+    code, out, err = run_cli(capsys, "nc", "mobius", "16", "--pi", bottom)
+    assert code == 1 and out == ""
+    assert "cap" in err
+
+
 def test_bad_partition_text(capsys):
     code, _, err = run_cli(capsys, "nc", "mobius", "3", "--pi", "1 a|2")
     assert code == 2

@@ -1,10 +1,12 @@
 import itertools
 import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freeprob import partitions
 from freeprob.errors import CapacityError, DomainError, StructuralError, ValidationError
 from freeprob.partitions import (
     NcPartition,
@@ -226,6 +228,31 @@ def test_order_cap():
         enumerate_nc(16)
 
 
+def test_interval_and_mobius_are_capped_before_they_list(monkeypatch):
+    def no_listing(*args):
+        raise AssertionError("listed before the cap was checked")
+
+    bot, top = singletons(16), full(16)
+    # three blocks of 8 points: at most Catalan(8)^3 merges, beyond the cap,
+    # while each Mobius factor sums over NC(8) alone
+    thirds = NcPartition(24, [range(1, 9), range(9, 17), range(17, 25)])
+    monkeypatch.setattr(partitions, "_coarsenings", no_listing)
+    for lister in (interval, mobius):
+        with pytest.raises(CapacityError, match="cap"):
+            lister(bot, top)
+    with pytest.raises(CapacityError):
+        interval(singletons(24), thirds)
+    monkeypatch.undo()
+    assert mobius(singletons(24), thirds) == signed_catalan(8) ** 3
+
+
+def test_upper_intervals_within_the_catalan_bound():
+    # the cap's argument: b blocks have at most Catalan(b) non-crossing merges
+    for n in range(1, 8):
+        for p in enumerate_nc(n):
+            assert len(interval(p, full(n))) <= catalan_number(p.num_blocks())
+
+
 @pytest.mark.parametrize("bad", [True, False, 2.0, "3", None])
 def test_order_must_be_an_int(bad):
     for make in (enumerate_nc, singletons, full, lambda n: NcPartition(n, [(1,)])):
@@ -254,9 +281,26 @@ def test_listing_is_the_callers_to_change():
 # -- properties against test-only oracles -------------------------------------
 
 
+@lru_cache(maxsize=None)
+def nc_by_definition(n):
+    """NC(n) without the merge search: every set partition of {1..n} with
+    no a < b < c < d, a and c in one block, b and d in another, sorted."""
+    return tuple(
+        sorted(NcPartition(n, b) for b in _set_partitions(n) if not _crosses(b))
+    )
+
+
+def test_enumeration_matches_the_definition():
+    for n in range(1, 10):
+        want = list(nc_by_definition(n))
+        got = enumerate_nc(n)
+        assert got == want
+        assert repr(got) == repr(want)
+
+
 def filtered_interval(p, q):
     """The interval by definition: NC(n) filtered through leq."""
-    return [r for r in enumerate_nc(p.n) if leq(p, r) and leq(r, q)]
+    return [r for r in nc_by_definition(p.n) if leq(p, r) and leq(r, q)]
 
 
 def signed_catalan(m):
