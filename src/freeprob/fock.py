@@ -118,7 +118,7 @@ class PolySpace:
 
         # each cumulant level converted to float once, letter i on axis i
         k = cf.arity
-        levels = [None] + [cf._level(n).astype(float) for n in range(1, 2 * d_H + 2)]
+        levels = [None] + [cf._float_level(n) for n in range(1, 2 * d_H + 2)]
         degrees = range(1, d_H + 1)
         self._gram_f = _hankel(levels, k, degrees)
         self.var_embeddings = [self.project_word((i,)) for i in range(1, k + 1)]

@@ -9,8 +9,12 @@ the mixed words whose cumulant exceeds a tolerance.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import StructuralError, ValidationError
 from .functionals import (
@@ -18,7 +22,6 @@ from .functionals import (
     MomentFunctional,
     as_scalar,
     cumulants_to_moments,
-    iter_words_upto,
     moments_to_cumulants,
 )
 
@@ -50,28 +53,20 @@ def free_product(families, order=None):
     if len(set(names)) != len(names):
         raise StructuralError("alphabet collision between families: %r" % (names,))
 
-    owner = []  # letter index in the union -> (family position, local letter)
-    for fam, mf in enumerate(families):
-        for c in range(1, mf.arity + 1):
-            owner.append((fam, c))
-
     kappas = [moments_to_cumulants(mf.truncate(order)) for mf in families]
 
-    zero = Fraction(0)
-    table = {}
-    for w in iter_words_upto(len(names), order):
-        fam0, c0 = owner[w[0] - 1]
-        local = [c0]
-        pure = True
-        for letter in w[1:]:
-            fam, c = owner[letter - 1]
-            if fam != fam0:
-                pure = False
-                break
-            local.append(c)
-        table[w] = kappas[fam0].cumulant(tuple(local)) if pure else zero
-    joint = CumulantFunctional(tuple(names), order, table)
-    return cumulants_to_moments(joint)
+    def joint_level(n):
+        # each family's cumulants on its pure-word sub-block, zero elsewhere
+        d = math.lcm(*(kf._dens[n] for kf in kappas))
+        level = np.zeros((len(names),) * n, dtype=object)
+        start = 0
+        for kf in kappas:
+            level[(slice(start, start + kf.arity),) * n] = kf._nums[n] * (d // kf._dens[n])
+            start += kf.arity
+        return level, d
+
+    levels = map(joint_level, range(1, order + 1))
+    return cumulants_to_moments(CumulantFunctional._trusted(tuple(names), order, levels))
 
 
 def _normalize_grouping(mf, grouping):
@@ -151,22 +146,24 @@ def check_freeness(mf, grouping, order=None, tolerance=0):
     groups = _normalize_grouping(mf, grouping)
     tol = abs(as_scalar(tolerance))
 
-    family_of = {}
+    family = np.zeros(mf.arity, dtype=int)  # letter - 1 -> its family
     for fam, members in enumerate(groups):
-        for c in members:
-            family_of[c] = fam
+        family[[c - 1 for c in members]] = fam
 
     cf = moments_to_cumulants(mf.truncate(order))
     violations = []
     checked = 0
-    for w in cf.words():
-        fam0 = family_of[w[0]]
-        if all(family_of[c] == fam0 for c in w[1:]):
-            continue
-        checked += 1
-        value = cf.cumulant(w)
-        if abs(value) > tol:
-            violations.append((w, value))
+    for n in range(1, order + 1):
+        nums, d = cf._nums[n], cf._dens[n]
+        # a word is mixed when its letters' families are not all one
+        families = np.ix_(*[family] * n)
+        mixed = functools.reduce(np.maximum, families) != functools.reduce(np.minimum, families)
+        checked += int(mixed.sum())
+        # |nums / d| > tol, in integers
+        big = mixed & (np.abs(nums) * tol.denominator > tol.numerator * d)
+        for i in np.flatnonzero(big).tolist():
+            w = tuple(int(c) + 1 for c in np.unravel_index(i, nums.shape))
+            violations.append((w, Fraction(nums.flat[i], d)))
     return FreenessReport(
         order=order,
         tolerance=tol,

@@ -6,6 +6,18 @@ empty word always evaluates to 1 and is not stored.  Values are
 fractions.Fraction throughout; floats entering through ``as_scalar`` are
 promoted to their exact binary rational, so no arithmetic here ever rounds.
 
+*Storage.*  The words of length n form level n, an array of shape (k,)*n
+with the letter at position i on axis i, so C order is word order.  A
+table stores each level as a read-only numpy object array of Python ints
+over one denominator d_n, divided by their gcd: d_n is then the lcm of
+the reduced denominators of the level's entries, the form is unique, and
+``==`` compares levels.  The public constructor validates a word -> value
+mapping and grades it; every other table is built from levels.  Tables
+are immutable and share levels.  Per-word reads (``moment``,
+``cumulant``, ``items``) go through a word -> Fraction dict built on the
+first read and kept; ``_table`` is a read-only view of it whose ``len``
+builds nothing.
+
 The two transforms are inverse bijections between moment tables and
 cumulant tables.  Both sum over the non-crossing partition lattice
 organized by the block containing the first letter (Nica-Speicher,
@@ -21,27 +33,23 @@ directions.  Cumulants to moments adds every term; moments to cumulants
 solves for kappa(w), the term with B the whole word, and subtracts the
 others.
 
-*Level broadcast.*  The words of length n form one numpy object array of
-shape (k,)*n, the letter at position i on axis i.  For one split (B and
-its gaps), the cumulant level of length |B| spread over the axes in B,
-and each gap's moment level spread over its own axes, multiply by
-broadcasting into a full level.  The product is then added to or
-subtracted from level n, so each split costs a few array operations for
-all k**n words at once.  With one letter every level is a single word,
-held as a plain int: there the array calls would cost more than the
-arithmetic.
+*Level broadcast.*  For one split (B and its gaps), the cumulant level
+of length |B| spread over the axes in B, and each gap's moment level
+spread over its own axes, multiply by broadcasting into a full level.
+The product is then added to or subtracted from level n, so each split
+costs a few array operations for all k**n words at once.  With one
+letter every level is a single word, held as a plain int: there the
+array calls would cost more than the arithmetic.
 
 *Graded integers.*  The recursion is homogeneous in word length: the
-block and gap lengths of a split add up to n.  Each level is therefore
-held as integers over one common denominator d_n, and divided by it
-once at the end.  That avoids the gcd and the object churn of every
-Fraction operation.  On the given side d_n is the lcm of the level's
-denominators.  On the derived side it is the lcm of d_n of the given
-level and of every split's product of its block's and gaps' d_n; where
-that product is a proper divisor of d_n, the block level is scaled up
-by the quotient first.  Every d_n divides D**n for any D that makes
-each v * D**|w| an integer, so the graded integers are never longer
-than under one table-wide D.  They are often much shorter:
+block and gap lengths of a split add up to n.  So the kernel works on
+the stored integers and reduces each derived level once at the end,
+with no Fraction operation.  On the derived side d_n is the lcm of d_n
+of the given level and of every split's product of its block's and
+gaps' d_n; where that product is a proper divisor of d_n, the block
+level is scaled up by the quotient first.  Every d_n divides D**n for
+any D that makes each v * D**|w| an integer, so the graded integers are
+never longer than under one table-wide D.  They are often much shorter:
 pairwise-coprime denominators do not pile up across levels, and the
 denominators that grow with word length in the tables the kernel
 returns need no factoring to grade well.
@@ -53,18 +61,17 @@ test suite checks the two routes against each other.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
+from collections.abc import Mapping
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import CapacityError, DomainError, StructuralError, ValidationError
 from .partitions import NcPartition, enumerate_nc, full, mobius
-
-Scalar = Fraction
-
 
 def as_scalar(x):
     """Coerce to an exact Fraction.
@@ -108,41 +115,92 @@ def _check_alphabet(alphabet):
     return names
 
 
+def _check_order(order):
+    if not isinstance(order, int) or isinstance(order, bool):
+        raise ValidationError("order must be an int, got %r" % (order,))
+    if order < 1:
+        raise ValidationError("order must be >= 1")
+    return order
+
+
+def _reduced(nums, d):
+    """One level's integers and denominator divided by their gcd, and the
+    array made read-only: d is the lcm of the entries' reduced denominators."""
+    g = math.gcd(d, *nums.ravel().tolist())
+    if g > 1:
+        nums, d = nums // g, d // g
+    nums.flags.writeable = False
+    return nums, d
+
+
+def _letter_levels(factors, order):
+    """(integers, denominator) of levels 1..order of the table whose value
+    at w is the product of factors[c - 1] over the letters c of w."""
+    q = math.lcm(*(f.denominator for f in factors))
+    p = np.array([f.numerator * (q // f.denominator) for f in factors], dtype=object)
+    for n in range(1, order + 1):
+        yield functools.reduce(operator.mul, np.ix_(*[p] * n)), q**n
+
+
+class _TableView(Mapping):
+    """Read-only word -> Fraction view of a table; ``len`` reads no entry."""
+
+    def __init__(self, owner):
+        self._owner = owner
+
+    def __len__(self):
+        return sum(self._owner.arity**n for n in range(1, self._owner.order + 1))
+
+    def __iter__(self):
+        return self._owner.words()
+
+    def __getitem__(self, word):
+        return self._owner._values[word]
+
+
 class _WordTable:
     """Shared behaviour of moment and cumulant tables."""
 
     def __init__(self, alphabet, order, table):
         self.alphabet = _check_alphabet(alphabet)
-        if order < 1:
-            raise ValidationError("order must be >= 1")
-        self.order = order
+        self.order = _check_order(order)
         k = len(self.alphabet)
-        data = {}
-        for word, value in table.items():
-            w = tuple(word)
-            if not 1 <= len(w) <= order:
-                raise StructuralError("word %r has bad length" % (w,))
-            if any(not 1 <= c <= k for c in w):
-                raise StructuralError("word %r uses letters outside 1..%d" % (w, k))
-            data[w] = as_scalar(value)
-        expected = 0
-        for n in range(1, order + 1):
-            expected += k**n
+        data = {tuple(w): as_scalar(v) for w, v in table.items()}
+        # whole-table checks; the loops only name the first bad word
+        if not set(map(len, data)) <= set(range(1, order + 1)):
+            bad = next(w for w in data if not 1 <= len(w) <= order)
+            raise StructuralError("word %r has bad length" % (bad,))
+        letters = list(itertools.chain.from_iterable(data))
+        if not set(map(type, letters)) <= {int} or not set(letters) <= set(range(1, k + 1)):
+            bad = next(w for w in data if not all(type(c) is int and 0 < c <= k for c in w))
+            raise StructuralError("word %r uses letters outside 1..%d" % (bad, k))
+        expected = sum(k**n for n in range(1, order + 1))
         if len(data) != expected:
             raise ValidationError(
                 "table is not total: %d entries, need %d" % (len(data), expected)
             )
-        self._table = data
+        self._values = data
+
+        def level(n):  # one lcm pass
+            pairs = [data[w].as_integer_ratio() for w in iter_words(k, n)]
+            d = math.lcm(*(q for _, q in pairs))
+            graded = [p * (d // q) for p, q in pairs]
+            return np.array(graded, dtype=object).reshape((k,) * n), d
+
+        self._set_levels(map(level, range(1, order + 1)))
 
     @classmethod
-    def _trusted(cls, alphabet, order, table):
-        # internal: alphabet is checked, order >= 1, and table maps every
-        # word of length 1..order to a Fraction, as _transform returns it
+    def _trusted(cls, alphabet, order, levels):
+        # internal: the levels are trusted, as the kernel returns them
         self = object.__new__(cls)
-        self.alphabet = alphabet
-        self.order = order
-        self._table = table
+        self.alphabet, self.order = _check_alphabet(alphabet), _check_order(order)
+        self._set_levels(levels)
         return self
+
+    def _set_levels(self, levels):
+        # levels yields (integer array of shape (k,)*n, denominator), n = 1..order
+        reduced = [(None, 1)] + [_reduced(level, d) for level, d in levels]
+        self._nums, self._dens = map(tuple, zip(*reduced))
 
     @classmethod
     def from_function(cls, alphabet, order, fn):
@@ -156,6 +214,17 @@ class _WordTable:
     def arity(self):
         return len(self.alphabet)
 
+    @functools.cached_property
+    def _values(self):
+        # word -> Fraction, built on the first per-word read
+        levels = self._graded(self.order)
+        values = (Fraction(v, d) for lv, d in levels for v in lv.ravel().tolist())
+        return dict(zip(self.words(), values))
+
+    @property
+    def _table(self):
+        return _TableView(self)
+
     def _lookup(self, word):
         w = tuple(word)
         if len(w) > self.order:
@@ -163,7 +232,7 @@ class _WordTable:
                 "word of length %d beyond order cap %d" % (len(w), self.order)
             )
         try:
-            return self._table[w]
+            return self._values[w]
         except KeyError:
             raise StructuralError("word %r not over alphabet 1..%d" % (w, self.arity))
 
@@ -174,9 +243,18 @@ class _WordTable:
             raise CapacityError(
                 "word of length %d beyond order cap %d" % (n, self.order)
             )
-        values = (self._table[w] for w in iter_words(self.arity, n))
+        values = (self._values[w] for w in iter_words(self.arity, n))
         out = np.fromiter(values, dtype=object, count=self.arity**n)
         return out.reshape((self.arity,) * n)
+
+    def _graded(self, order):
+        # the stored (integers, denominator) of levels 1..order, shared
+        return zip(self._nums[1 : order + 1], self._dens[1 : order + 1])
+
+    def _float_level(self, n):
+        """Level n as floats.  Python's int / int is correctly rounded, as
+        is Fraction.__float__, so the common denominator changes no bit."""
+        return (self._nums[n] / self._dens[n]).astype(float)
 
     def words(self, length=None):
         """Stored words in canonical order (by length, then lexicographic)."""
@@ -188,22 +266,24 @@ class _WordTable:
         return " ".join(self.alphabet[c - 1] for c in word)
 
     def items(self):
+        values = self._values
         for w in self.words():
-            yield w, self._table[w]
-
-    def _map_values(self, fn):
-        return {w: fn(w, v) for w, v in self._table.items()}
+            yield w, values[w]
 
     def relabel(self, alphabet):
         """Same table under new variable names."""
-        return type(self)(alphabet, self.order, self._table)
+        out = type(self)._trusted(alphabet, self.order, self._graded(self.order))
+        if out.arity != self.arity:
+            raise StructuralError("need %d names, got %d" % (self.arity, out.arity))
+        return out
 
     def truncate(self, order):
         """Drop words longer than ``order``."""
-        if order > self.order:
+        if _check_order(order) > self.order:
             raise ValidationError("cannot truncate %d up to %d" % (self.order, order))
-        table = {w: v for w, v in self._table.items() if len(w) <= order}
-        return type(self)(self.alphabet, order, table)
+        if order == self.order:
+            return self
+        return type(self)._trusted(self.alphabet, order, self._graded(order))
 
     def restrict(self, letters):
         """Sub-table on a subset of letters (1-based indices), which become
@@ -211,13 +291,14 @@ class _WordTable:
         letters = tuple(letters)
         if len(set(letters)) != len(letters):
             raise StructuralError("repeated letter in restriction")
-        if any(not 1 <= c <= self.arity for c in letters):
+        if not all(type(c) is int and 1 <= c <= self.arity for c in letters):
             raise StructuralError("restriction letter outside 1..%d" % self.arity)
         names = tuple(self.alphabet[c - 1] for c in letters)
-        table = {}
-        for w in iter_words_upto(len(letters), self.order):
-            table[w] = self._table[tuple(letters[c - 1] for c in w)]
-        return type(self)(names, self.order, table)
+        idx = [c - 1 for c in letters]
+        return type(self)._trusted(names, self.order, (
+            (self._nums[n][np.ix_(*[idx] * n)], self._dens[n])
+            for n in range(1, self.order + 1)
+        ))
 
     def scale_letters(self, factors):
         """Rescale variable i by factors[i-1]: each word picks up the
@@ -225,21 +306,17 @@ class _WordTable:
         fs = [as_scalar(f) for f in factors]
         if len(fs) != self.arity:
             raise ValidationError("need %d factors" % self.arity)
-
-        def scaled(w, v):
-            out = v
-            for c in w:
-                out *= fs[c - 1]
-            return out
-
-        return type(self)(self.alphabet, self.order, self._map_values(scaled))
+        pairs = zip(self._graded(self.order), _letter_levels(fs, self.order))
+        levels = ((lv * f, d * q) for (lv, d), (f, q) in pairs)
+        return type(self)._trusted(self.alphabet, self.order, levels)
 
     def __eq__(self, other):
         return (
             type(self) is type(other)
             and self.alphabet == other.alphabet
             and self.order == other.order
-            and self._table == other._table
+            and self._dens == other._dens
+            and all(map(np.array_equal, self._nums[1:], other._nums[1:]))
         )
 
     def __repr__(self):
@@ -249,6 +326,13 @@ class _WordTable:
             self.order,
             len(self._table),
         )
+
+
+def _scaled(table, factor, cls):
+    """``table`` times the rational ``factor`` on every word, as a ``cls``."""
+    p, q = factor.numerator, factor.denominator
+    levels = ((lv * p, d * q) for lv, d in table._graded(table.order))
+    return cls._trusted(table.alphabet, table.order, levels)
 
 
 class MomentFunctional(_WordTable):
@@ -263,15 +347,11 @@ class MomentFunctional(_WordTable):
         """True when every moment equals the moment of the reversed word.
         With real scalars this is the self-adjointness check; it is
         reported, never enforced."""
-        return all(v == self._table[w[::-1]] for w, v in self._table.items())
+        return all(np.array_equal(lv, lv.T) for lv in self._nums[1:])
 
     def is_tracial(self):
         """True when moments are invariant under cyclic rotation."""
-        for w, v in self._table.items():
-            for r in range(1, len(w)):
-                if self._table[w[r:] + w[:r]] != v:
-                    return False
-        return True
+        return all(np.array_equal(lv, np.moveaxis(lv, 0, -1)) for lv in self._nums[1:])
 
     def tensor(self, other, alphabet=None):
         """Letterwise product state: variable i of the result pairs
@@ -282,15 +362,11 @@ class MomentFunctional(_WordTable):
         if other.arity != self.arity:
             raise StructuralError("tensor factors must have equal arity")
         order = min(self.order, other.order)
-        if alphabet is None:
-            alphabet = tuple(
-                "%s*%s" % (a, b) for a, b in zip(self.alphabet, other.alphabet)
-            )
-        table = {
-            w: self._table[w] * other._table[w]
-            for w in iter_words_upto(self.arity, order)
-        }
-        return MomentFunctional(alphabet, order, table)
+        names = tuple("%s*%s" % (a, b) for a, b in zip(self.alphabet, other.alphabet))
+        pairs = zip(self._graded(order), other._graded(order))
+        levels = ((a * b, da * db) for (a, da), (b, db) in pairs)
+        out = MomentFunctional._trusted(names, order, levels)
+        return out if alphabet is None else out.relabel(alphabet)
 
 
 class CumulantFunctional(_WordTable):
@@ -328,7 +404,7 @@ def block_cumulant_product(cf, word, partition):
     return _block_product(cf.cumulant, word, partition)
 
 
-@lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None)
 def _first_block_splits(n):
     """Every subset of positions {0..n-1} containing 0, with the contiguous
     gaps it leaves.  Summing over these splits is summing over NC(n)
@@ -343,17 +419,6 @@ def _first_block_splits(n):
         gaps = tuple((a + 1, b) for a, b in zip(ext, ext[1:]) if b - a > 1)
         splits.append((tuple(block), gaps))
     return tuple(splits)
-
-
-def _level_array(values, k, n):
-    """One word level as an object array of shape (k,)*n, with the letter
-    at position i on axis i; None when every value is zero.  A
-    one-letter alphabet has one word per level, held as the int itself."""
-    if not any(values):
-        return None
-    if k == 1:
-        return values[0]
-    return np.fromiter(values, dtype=object, count=len(values)).reshape((k,) * n)
 
 
 def _spread(level, axes, n, k):
@@ -373,16 +438,15 @@ def _transform(table, to_cumulants):
     time, on integers graded by one denominator per level.
 
     ``table`` is the given side: moments when ``to_cumulants``, else
-    cumulants.  Returns the other side as a word -> Fraction dict.
+    cumulants.  Yields the other side's levels as (integers, denominator)
+    pairs, n = 1..order.
     """
     k, order = table.arity, table.order
-    given, given_den = [None], [1]
-    for n in range(1, order + 1):
-        values = table._level(n).ravel().tolist()
-        d = math.lcm(*{v.denominator for v in values})
-        given_den.append(d)
-        graded = [v.numerator * (d // v.denominator) for v in values]
-        given.append(_level_array(graded, k, n))
+    # an all-zero level is None; with one letter a level is its int
+    given = [None] + [
+        (lv.item() if k == 1 else lv) if lv.any() else None for lv in table._nums[1:]
+    ]
+    given_den = table._dens
     derived, derived_den = [None], [1]
     # the block of a split is a cumulant, each gap a moment
     blocks, gaps = (derived, given) if to_cumulants else (given, derived)
@@ -417,16 +481,10 @@ def _transform(table, to_cumulants):
         nonzero = level.any() if isinstance(level, np.ndarray) else level != 0
         derived.append(level if nonzero else None)
         derived_den.append(d)
-    out = {}
-    for n in range(1, order + 1):
-        words = iter_words(k, n)
-        if derived[n] is None:
-            out.update((w, Fraction(0)) for w in words)
-            continue
-        d = derived_den[n]
-        values = derived[n].ravel().tolist() if k > 1 else [derived[n]]
-        out.update(zip(words, (Fraction(v, d) for v in values)))
-    return out
+    for n, level in enumerate(derived[1:], 1):
+        if level is None or k == 1:
+            level = np.full((k,) * n, level or 0, dtype=object)
+        yield level, derived_den[n]
 
 
 def moments_to_cumulants(mf):
@@ -438,8 +496,7 @@ def moments_to_cumulants(mf):
     """
     if not isinstance(mf, MomentFunctional):
         raise StructuralError("expected a MomentFunctional")
-    kappa = _transform(mf, True)
-    return CumulantFunctional._trusted(mf.alphabet, mf.order, kappa)
+    return CumulantFunctional._trusted(mf.alphabet, mf.order, _transform(mf, True))
 
 
 def cumulants_to_moments(cf):
@@ -448,8 +505,7 @@ def cumulants_to_moments(cf):
     of moments_to_cumulants."""
     if not isinstance(cf, CumulantFunctional):
         raise StructuralError("expected a CumulantFunctional")
-    phi = _transform(cf, False)
-    return MomentFunctional._trusted(cf.alphabet, cf.order, phi)
+    return MomentFunctional._trusted(cf.alphabet, cf.order, _transform(cf, False))
 
 
 def cumulant_mobius_sum(mf, word):

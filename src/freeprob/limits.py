@@ -26,6 +26,7 @@ from .freeness import free_product
 from .functionals import (
     CumulantFunctional,
     MomentFunctional,
+    _scaled,
     as_scalar,
     iter_words,
     iter_words_upto,
@@ -50,9 +51,7 @@ def dilate(cf, t):
     factor = as_scalar(t)
     if factor <= 0:
         raise ValidationError("dilation parameter must be positive")
-    return CumulantFunctional(
-        cf.alphabet, cf.order, cf._map_values(lambda w, v: factor * v)
-    )
+    return _scaled(cf, factor, CumulantFunctional)
 
 
 def _row_order(row_mf, size_n, order):

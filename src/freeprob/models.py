@@ -17,6 +17,8 @@ from .freeness import free_product
 from .functionals import (
     CumulantFunctional,
     MomentFunctional,
+    _letter_levels,
+    _scaled,
     as_scalar,
     cumulants_to_moments,
     iter_words_upto,
@@ -102,10 +104,7 @@ def _constants_law(values, order, names):
     """Law of commuting constants: phi(w) is the product of values[c - 1]
     over the letters c of w.  With one letter it is the point mass at
     values[0]."""
-    table = {}
-    for w in iter_words_upto(len(values), order):
-        table[w] = table.get(w[:-1], Fraction(1)) * values[w[-1] - 1]
-    return MomentFunctional(names, order, table)
+    return MomentFunctional._trusted(names, order, _letter_levels(values, order))
 
 
 def free_poisson(rate, jump=1, order=8, name="x"):
@@ -137,8 +136,7 @@ def compound_free_poisson_cumulants(rate, base, order=None):
         raise ValidationError(
             "order %d beyond base order %d" % (order, base.order)
         )
-    table = {w: lam * base.moment(w) for w in iter_words_upto(base.arity, order)}
-    return CumulantFunctional(base.alphabet, order, table)
+    return _scaled(base.truncate(order), lam, CumulantFunctional)
 
 
 def compound_free_poisson(rate, base, order=None):

@@ -1,6 +1,9 @@
+import math
 import random
+import struct
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +14,7 @@ from freeprob.errors import (
     StructuralError,
     ValidationError,
 )
+from freeprob.freeness import FreenessReport, _normalize_grouping, check_freeness, free_product
 from freeprob.functionals import (
     CumulantFunctional,
     MomentFunctional,
@@ -19,10 +23,13 @@ from freeprob.functionals import (
     block_moment_product,
     cumulant_mobius_sum,
     cumulants_to_moments,
+    iter_words,
     iter_words_upto,
     moment_lattice_sum,
     moments_to_cumulants,
 )
+from freeprob.limits import dilate
+from freeprob.models import _constants_law, compound_free_poisson_cumulants, projection_family
 from freeprob.partitions import NcPartition, full, singletons
 
 
@@ -60,6 +67,28 @@ def test_table_must_be_total():
         MomentFunctional(("a", "a"), 1, {(1,): F(0), (2,): F(0)})
     with pytest.raises(StructuralError):
         MomentFunctional(("a b",), 1, {(1,): F(0)})
+
+
+@pytest.mark.parametrize("order", [True, False, 2.0, "2", None])
+def test_order_must_be_an_int(order):
+    with pytest.raises(ValidationError):
+        MomentFunctional(("x",), order, {(1,): 1, (1, 1): 1})
+    mf = random_moments(2, 3, seed=1)
+    with pytest.raises(ValidationError):
+        mf.truncate(order)
+
+
+@pytest.mark.parametrize("letter", [1.0, True, "1", None])
+def test_letters_must_be_ints(letter):
+    with pytest.raises(StructuralError):
+        MomentFunctional(("x",), 1, {(letter,): 1})
+    with pytest.raises(StructuralError):
+        MomentFunctional(("x",), 2, {(1,): 1, (1, letter): 1})
+    mf = random_moments(2, 3, seed=1)
+    with pytest.raises(StructuralError):
+        mf.restrict((letter,))
+    with pytest.raises(StructuralError):
+        mf.restrict((2, letter))
 
 
 def test_lookup_and_caps():
@@ -274,3 +303,357 @@ def test_transform_outputs_pass_the_public_constructor_property(data):
         assert list(out._table) == list(iter_words_upto(k, order))
         assert all(type(v) is F for v in out._table.values())
         assert type(out)(names, order, dict(out.items())) == out
+
+
+# -- float levels -----------------------------------------------------------
+
+
+def float_bits(x):
+    return struct.pack("<d", x)
+
+
+def test_float_levels_round_as_fraction_float():
+    # int / int over the level's common denominator is correctly rounded,
+    # as Fraction.__float__ is on the reduced pair: the same bits, signed
+    # zeros and subnormals included
+    values = [
+        F(2**53 + 1, 3), F(2**53 + 1), F(-(2**60) + 7, 2**70), F(3**200, 2**300),
+        F(1, 2**1070), F(-1, 2**1100), F(-5, 2**1074), F(0), F(-7, 9),
+    ]
+    k = 3
+    table = {w: values[i % len(values)] for i, w in enumerate(iter_words_upto(k, 2))}
+    for cls in (MomentFunctional, CumulantFunctional):
+        tbl = cls(("a", "b", "c"), 2, table)
+        for n in (1, 2):
+            got = [float_bits(x) for x in tbl._float_level(n).ravel().tolist()]
+            want = [float_bits(float(table[w])) for w in iter_words(k, n)]
+            assert got == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.builds(
+            F,
+            st.integers(-(10**300), 10**300),
+            st.one_of(
+                st.integers(1, 1100).map(lambda e: 2**e),
+                st.integers(1, 200).map(lambda e: 3**e),
+            ),
+        ),
+        min_size=2,
+        max_size=2,
+    )
+)
+def test_float_levels_round_as_fraction_float_property(values):
+    tbl = CumulantFunctional(("a", "b"), 1, {(1,): values[0], (2,): values[1]})
+    got = [float_bits(x) for x in tbl._float_level(1).tolist()]
+    assert got == [float_bits(float(v)) for v in values]
+
+
+# -- the dict oracle ----------------------------------------------------------
+#
+# The word -> Fraction dict implementations of the table operations, kept
+# verbatim from before tables were stored as graded levels (``self._table``
+# is now a read-only view, so they read it unchanged); every level
+# operation must return the very same table.
+
+
+def _map_values(self, fn):
+    return {w: fn(w, v) for w, v in self._table.items()}
+
+
+def oracle_relabel(self, alphabet):
+    """Same table under new variable names."""
+    return type(self)(alphabet, self.order, self._table)
+
+
+def oracle_truncate(self, order):
+    """Drop words longer than ``order``."""
+    if order > self.order:
+        raise ValidationError("cannot truncate %d up to %d" % (self.order, order))
+    table = {w: v for w, v in self._table.items() if len(w) <= order}
+    return type(self)(self.alphabet, order, table)
+
+
+def oracle_restrict(self, letters):
+    """Sub-table on a subset of letters (1-based indices), which become
+    letters 1..len(letters) of the result in the given order."""
+    letters = tuple(letters)
+    if len(set(letters)) != len(letters):
+        raise StructuralError("repeated letter in restriction")
+    if any(not 1 <= c <= self.arity for c in letters):
+        raise StructuralError("restriction letter outside 1..%d" % self.arity)
+    names = tuple(self.alphabet[c - 1] for c in letters)
+    table = {}
+    for w in iter_words_upto(len(letters), self.order):
+        table[w] = self._table[tuple(letters[c - 1] for c in w)]
+    return type(self)(names, self.order, table)
+
+
+def oracle_scale_letters(self, factors):
+    """Rescale variable i by factors[i-1]: each word picks up the
+    product of the factors of its letters."""
+    fs = [as_scalar(f) for f in factors]
+    if len(fs) != self.arity:
+        raise ValidationError("need %d factors" % self.arity)
+
+    def scaled(w, v):
+        out = v
+        for c in w:
+            out *= fs[c - 1]
+        return out
+
+    return type(self)(self.alphabet, self.order, _map_values(self, scaled))
+
+
+def oracle_is_symmetric(self):
+    return all(v == self._table[w[::-1]] for w, v in self._table.items())
+
+
+def oracle_is_tracial(self):
+    for w, v in self._table.items():
+        for r in range(1, len(w)):
+            if self._table[w[r:] + w[:r]] != v:
+                return False
+    return True
+
+
+def oracle_tensor(self, other, alphabet=None):
+    """Letterwise product state: variable i of the result pairs
+    variable i of self with variable i of other, and every joint
+    moment factors as the product of the two coordinate moments."""
+    if not isinstance(other, MomentFunctional):
+        raise StructuralError("tensor needs a MomentFunctional")
+    if other.arity != self.arity:
+        raise StructuralError("tensor factors must have equal arity")
+    order = min(self.order, other.order)
+    if alphabet is None:
+        alphabet = tuple(
+            "%s*%s" % (a, b) for a, b in zip(self.alphabet, other.alphabet)
+        )
+    table = {
+        w: self._table[w] * other._table[w]
+        for w in iter_words_upto(self.arity, order)
+    }
+    return MomentFunctional(alphabet, order, table)
+
+
+def oracle_dilate(cf, t):
+    factor = as_scalar(t)
+    return CumulantFunctional(
+        cf.alphabet, cf.order, _map_values(cf, lambda w, v: factor * v)
+    )
+
+
+def oracle_compound_free_poisson_cumulants(rate, base, order=None):
+    lam = as_scalar(rate)
+    if order is None:
+        order = base.order
+    table = {w: lam * base.moment(w) for w in iter_words_upto(base.arity, order)}
+    return CumulantFunctional(base.alphabet, order, table)
+
+
+def oracle_constants_law(values, order, names):
+    table = {}
+    for w in iter_words_upto(len(values), order):
+        table[w] = table.get(w[:-1], F(1)) * values[w[-1] - 1]
+    return MomentFunctional(names, order, table)
+
+
+def oracle_projection_family(traces, order, model, names):
+    """The equal and orthogonal couplings, from the traces."""
+    k = len(traces)
+    zero = F(0)
+    if model == "equal":
+        t = traces[0]
+        table = {w: t for w in iter_words_upto(k, order)}
+        return MomentFunctional(names, order, table)
+    table = {}
+    for w in iter_words_upto(k, order):
+        pure = all(c == w[0] for c in w)
+        table[w] = traces[w[0] - 1] if pure else zero
+    return MomentFunctional(names, order, table)
+
+
+def oracle_free_product(families, order):
+    names = []
+    for mf in families:
+        names.extend(mf.alphabet)
+
+    owner = []  # letter index in the union -> (family position, local letter)
+    for fam, mf in enumerate(families):
+        for c in range(1, mf.arity + 1):
+            owner.append((fam, c))
+
+    kappas = [moments_to_cumulants(oracle_truncate(mf, order)) for mf in families]
+
+    zero = F(0)
+    table = {}
+    for w in iter_words_upto(len(names), order):
+        fam0, c0 = owner[w[0] - 1]
+        local = [c0]
+        pure = True
+        for letter in w[1:]:
+            fam, c = owner[letter - 1]
+            if fam != fam0:
+                pure = False
+                break
+            local.append(c)
+        table[w] = kappas[fam0].cumulant(tuple(local)) if pure else zero
+    joint = CumulantFunctional(tuple(names), order, table)
+    return cumulants_to_moments(joint)
+
+
+def oracle_check_freeness(mf, grouping, order, tolerance=0):
+    groups = _normalize_grouping(mf, grouping)
+    tol = abs(as_scalar(tolerance))
+
+    family_of = {}
+    for fam, members in enumerate(groups):
+        for c in members:
+            family_of[c] = fam
+
+    cf = moments_to_cumulants(oracle_truncate(mf, order))
+    violations = []
+    checked = 0
+    for w in cf.words():
+        fam0 = family_of[w[0]]
+        if all(family_of[c] == fam0 for c in w[1:]):
+            continue
+        checked += 1
+        value = cf.cumulant(w)
+        if abs(value) > tol:
+            violations.append((w, value))
+    return FreenessReport(
+        order=order,
+        tolerance=tol,
+        groups=groups,
+        checked_words=checked,
+        violations=tuple(violations),
+    )
+
+
+# Pairwise-coprime denominators, so that no two entries share a factor
+# and the lcm of a level is the product of the denominators it uses.
+COPRIME = [1, 2, 3, 5, 7, 11, 13]
+
+
+@st.composite
+def level_tables(draw, cls=MomentFunctional, k=None, max_order=5):
+    """A table with k in 1..3, order <= 5, negative values and, with
+    probability 1/3, an all-zero level."""
+    k = draw(st.integers(1, 3)) if k is None else k
+    order = draw(st.integers(1, max_order))
+    value = st.builds(F, st.integers(-9, 9), st.sampled_from(COPRIME))
+    table = {}
+    for n in range(1, order + 1):
+        zero = draw(st.integers(0, 2)) == 0
+        for w in iter_words(k, n):
+            table[w] = F(0) if zero else draw(value)
+    return cls(tuple("abc"[:k]), order, table)
+
+
+rationals = st.builds(F, st.integers(-9, 9), st.sampled_from(COPRIME))
+nonzero = rationals.filter(bool)
+
+
+def assert_graded(t):
+    """Stored form: level n is a read-only integer array of shape (k,)*n
+    over the lcm of its entries' reduced denominators."""
+    for n in range(1, t.order + 1):
+        values = t._level(n)
+        assert values.shape == t._nums[n].shape == (t.arity,) * n
+        assert all(type(v) is F for v in values.flat)
+        assert t._dens[n] == math.lcm(*(v.denominator for v in values.flat))
+        assert not t._nums[n].flags.writeable
+        assert all(type(v) is int for v in t._nums[n].flat)
+
+
+def assert_same(got, want):
+    assert_graded(got)
+    assert got == want and want == got
+    assert repr(got) == repr(want)
+    assert list(got.items()) == list(want.items())
+    assert [w for w, _ in got.items()] == list(iter_words_upto(got.arity, got.order))
+    assert len(got._table) == len(want._table) == len(list(want.items()))
+    for n in range(1, got.order + 1):
+        assert np.array_equal(got._level(n), want._level(n))
+        assert np.array_equal(got._float_level(n), want._level(n).astype(float))
+
+
+@settings(max_examples=40, deadline=None)
+@given(level_tables(), st.data())
+def test_level_operations_match_the_dict_oracle_property(mf, data):
+    k = mf.arity
+    assert_graded(mf)
+    order = data.draw(st.integers(1, mf.order))
+    assert_same(mf.truncate(order), oracle_truncate(mf, order))
+    assert mf.truncate(mf.order) is mf
+    assert_same(mf.relabel(("x", "y", "z")[:k]), oracle_relabel(mf, ("x", "y", "z")[:k]))
+    letters = data.draw(st.permutations(range(1, k + 1)))
+    letters = letters[: data.draw(st.integers(1, k))]
+    assert_same(mf.restrict(letters), oracle_restrict(mf, letters))
+    factors = data.draw(st.lists(rationals, min_size=k, max_size=k))
+    assert_same(mf.scale_letters(factors), oracle_scale_letters(mf, factors))
+    assert mf.is_symmetric() == oracle_is_symmetric(mf)
+    assert mf.is_tracial() == oracle_is_tracial(mf)
+    other = data.draw(level_tables(k=k))
+    assert_same(mf.tensor(other), oracle_tensor(mf, other))
+    assert_same(
+        mf.tensor(other, alphabet=("p", "q", "r")[:k]),
+        oracle_tensor(mf, other, alphabet=("p", "q", "r")[:k]),
+    )
+    t = data.draw(nonzero.map(abs))
+    cf = data.draw(level_tables(cls=CumulantFunctional, k=k))
+    assert_same(dilate(cf, t), oracle_dilate(cf, t))
+    assert_same(
+        compound_free_poisson_cumulants(t, mf),
+        oracle_compound_free_poisson_cumulants(t, mf),
+    )
+    assert_same(
+        compound_free_poisson_cumulants(t, mf, order),
+        oracle_compound_free_poisson_cumulants(t, mf, order),
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_constant_and_projection_laws_match_the_dict_oracle_property(data):
+    k = data.draw(st.integers(1, 3))
+    order = data.draw(st.integers(1, 5))
+    names = ("x", "y", "z")[:k]
+    values = data.draw(st.lists(rationals, min_size=k, max_size=k))
+    assert_same(_constants_law(values, order, names), oracle_constants_law(values, order, names))
+    rates = data.draw(st.lists(st.integers(1, 5).map(F), min_size=k, max_size=k))
+    size_n = data.draw(st.integers(sum(rates), 20))
+    traces = [r / size_n for r in rates]
+    assert_same(
+        projection_family(rates, size_n, order, "orthogonal", names),
+        oracle_projection_family(traces, order, "orthogonal", names),
+    )
+    same = [rates[0]] * k
+    assert_same(
+        projection_family(same, size_n, order, "equal", names),
+        oracle_projection_family([traces[0]] * k, order, "equal", names),
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_free_product_and_freeness_match_the_dict_oracle_property(data):
+    ka = data.draw(st.integers(1, 2))
+    a = data.draw(level_tables(k=ka, max_order=4))
+    b = data.draw(level_tables(k=3 - ka, max_order=4)).relabel(("p", "q")[: 3 - ka])
+    order = data.draw(st.integers(1, min(a.order, b.order)))
+    joint = free_product([a, b], order)
+    assert_same(joint, oracle_free_product([a, b], order))
+    # a random table, so that mixed cumulants exist, under every tolerance
+    mf = data.draw(level_tables(k=3, max_order=4))
+    grouping = data.draw(st.sampled_from([[(1,), (2, 3)], [(1, 3), (2,)], [(1,), (2,), (3,)]]))
+    tol = data.draw(st.one_of(st.just(0), nonzero.map(abs)))
+    for table in (joint, mf):
+        got = check_freeness(table, grouping, table.order, tol)
+        want = oracle_check_freeness(table, grouping, table.order, tol)
+        assert got == want and repr(got) == repr(want)
+        assert type(got.checked_words) is int
