@@ -60,6 +60,7 @@ from .models import (
 )
 from .partitions import (
     NcPartition,
+    _check_listing,
     catalan_number,
     enumerate_nc,
     full,
@@ -150,20 +151,21 @@ def _deliver_functional(table, args):
 
 
 def _cmd_nc_enumerate(args):
-    parts = enumerate_nc(args.n)
+    if args.count_only:  # the checks of the listing, without the listing
+        _check_listing(args.n)
+        parts = []
+    else:
+        parts = enumerate_nc(args.n)
+    count = catalan_number(args.n)
     if args.json:
-        payload = {"n": args.n, "count": len(parts)}
+        payload = {"n": args.n, "count": count}
         if not args.count_only:
             payload["partitions"] = [str(p) for p in parts]
         _emit_json(payload)
         return 0
-    if not args.count_only:
-        for p in parts:
-            _emit(str(p))
-    _emit(
-        "NC(%d): %d partitions (Catalan number %d)"
-        % (args.n, len(parts), catalan_number(args.n))
-    )
+    for p in parts:
+        _emit(str(p))
+    _emit("NC(%d): %d partitions (Catalan number %d)" % (args.n, count, count))
     return 0
 
 

@@ -3,15 +3,15 @@
 A partition is stored canonically: blocks ordered by their minimum, elements
 ascending inside each block.  The partial order is refinement, the join is
 the non-crossing closure of the set-partition join, and the Mobius function
-is obtained by inverting the zeta function of the lattice, never from a
-closed product formula.  All values are exact integers.
+is Kreweras's product formula: mu(p, q) multiplies one signed Catalan number
+per block of the relative Kreweras complement of p in q, read off the cycles
+of one permutation in a single pass.  All values are exact integers.
 
 Every listing is one pruned merge search over the blocks of a partition,
 whose cost follows the answer: an interval [p, q] is the non-crossing merges
-of p's blocks inside q's blocks, NC(n) itself is [0_n, 1_n], and the Mobius
-recursion sums over the upper intervals [tau, 1_m].  No crossing candidate is
-ever generated, so no filtering step is involved.  Each NC(n) is listed once
-and stored.
+of p's blocks inside q's blocks, and NC(n) itself is [0_n, 1_n].  No
+crossing candidate is ever generated, so no filtering step is involved.
+Each NC(n) is listed once and stored.
 """
 
 from __future__ import annotations
@@ -46,7 +46,8 @@ def _check_order(n):
 
 def _check_merges(counts):
     """Refuse a merge search over groups of ``counts`` blocks that could list
-    more than NC(ORDER_CAP), before it starts.  Ordered by their minima, b
+    more than NC(ORDER_CAP), before it starts: the guard of ``interval`` and
+    ``enumerate_nc``, the two callers that list.  Ordered by their minima, b
     blocks merge into distinct members of NC(b) on their indices (a crossing
     of indices would cross the merged blocks), so a group of b blocks has at
     most Catalan(b) merges and the search at most their product."""
@@ -204,15 +205,21 @@ def _nc_partitions(n):
     return tuple([NcPartition._trusted(n, r) for r in sorted(rhos)])
 
 
+def _check_listing(n):
+    """The checks ``enumerate_nc`` makes before it lists NC(n): an int
+    n >= 1, and CapacityError for n > ORDER_CAP."""
+    _check_order(n)
+    if n < 1:
+        raise DomainError("enumerate_nc needs n >= 1")
+    _check_merges([n])
+
+
 def enumerate_nc(n):
     """All non-crossing partitions of {1..n} in canonical lexicographic
     order.  Counts match the Catalan numbers.  NC(n) is stored once built:
     a call copies the list of its immutable partitions.  CapacityError for
     n > ORDER_CAP."""
-    _check_order(n)
-    if n < 1:
-        raise DomainError("enumerate_nc needs n >= 1")
-    _check_merges([n])
+    _check_listing(n)
     return list(_nc_partitions(n))
 
 
@@ -292,23 +299,40 @@ def meet(p, q):
     return NcPartition._trusted(p.n, tuple(blocks))
 
 
-# ---------------------------------------------------------------------------
-# Mobius function by inversion of the zeta function.
-#
-# mu is multiplicative over the blocks of the upper partition, so every
-# query reduces to mu(tau, top) for a relabeled partition tau of {1..m}.
-# Those values are memoized on the canonical shape of tau and computed from
-# sum_{tau <= rho <= top} mu(tau, rho) = 0 whenever tau < top.
-# ---------------------------------------------------------------------------
+def mobius(p, q):
+    """Mobius function mu(p, q) of the non-crossing partition lattice.
 
-
-def _restrict_relabel(blocks, members):
-    """Blocks of a partition restricted to the set ``members`` (which is a
-    union of whole blocks), relabeled to {1..len(members)} canonically."""
-    relabel = {x: i + 1 for i, x in enumerate(sorted(members))}
-    sub = [tuple(relabel[x] for x in b) for b in blocks if b[0] in members]
-    sub.sort(key=lambda b: b[0])
-    return tuple(sub)
+    Exact integer; raises DomainError when p is not a refinement of q
+    (the function is undefined there, not zero).  With P the blocks of p
+    as increasing cycles and gamma the blocks of q as increasing cycles,
+    the cycles of P^-1 gamma are the blocks of the relative Kreweras
+    complement of p in q, and mu(p, q) is the product of the signed
+    Catalan numbers (-1)^(m-1) C_(m-1) over their sizes m (Kreweras 1972;
+    Nica-Speicher, Lect. 9-10).  One pass, linear in n: nothing is listed
+    or cached, so no size of p or q raises CapacityError.
+    """
+    _check_same_ground(p, q)
+    if not leq(p, q):
+        raise DomainError("mobius undefined: %s is not below %s" % (p, q))
+    back = [0] * (p.n + 1)  # P^-1
+    for b in p.blocks:
+        for x, y in zip(b, b[1:] + b[:1]):
+            back[y] = x
+    step = [0] * (p.n + 1)  # P^-1 gamma, which keeps to each block of q
+    for w in q.blocks:
+        for x, y in zip(w, w[1:] + w[:1]):
+            step[x] = back[y]
+    seen = [False] * (p.n + 1)
+    result = 1
+    for start in range(1, p.n + 1):
+        m, x = 0, start
+        while not seen[x]:
+            seen[x] = True
+            m += 1
+            x = step[x]
+        if m:
+            result *= (-1) ** (m - 1) * catalan_number(m - 1)
+    return result
 
 
 def _coarsenings(n, blocks, group):
@@ -353,45 +377,6 @@ def _coarsenings(n, blocks, group):
 
     place(0)
     return out
-
-
-@lru_cache(maxsize=None)
-def _mu_to_top(blocks):
-    """mu(tau, top) for a canonical non-crossing tau of {1..m}."""
-    if len(blocks) == 1:
-        return 1
-    n = max(b[-1] for b in blocks)
-    acc = 0
-    mu = {}  # the same block of rho recurs across many rho
-    for rho in _coarsenings(n, blocks, [0] * (n + 1)):
-        if len(rho) == 1:  # the top
-            continue
-        term = 1
-        for block in rho:
-            if block not in mu:
-                mu[block] = _mu_to_top(_restrict_relabel(blocks, set(block)))
-            term *= mu[block]
-        acc += term
-    return -acc
-
-
-def mobius(p, q):
-    """Mobius function mu(p, q) of the non-crossing partition lattice.
-
-    Exact integer; raises DomainError when p is not a refinement of q
-    (the function is undefined there, not zero).  The factor of a block of
-    q holding b blocks of p sums over at most Catalan(b) merges, so
-    CapacityError is raised, before anything is listed, when b > ORDER_CAP.
-    """
-    _check_same_ground(p, q)
-    if not leq(p, q):
-        raise DomainError("mobius undefined: %s is not below %s" % (p, q))
-    taus = [_restrict_relabel(p.blocks, set(block)) for block in q.blocks]
-    _check_merges([max(map(len, taus), default=0)])
-    result = 1
-    for tau in taus:
-        result *= _mu_to_top(tau)
-    return result
 
 
 def interval(p, q):

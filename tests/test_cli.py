@@ -11,6 +11,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from freeprob import partitions
 from freeprob.cli import main
 from freeprob.functionals import (
     CumulantFunctional,
@@ -110,10 +111,32 @@ def test_nc_mobius_table_below_sigma(capsys):
 
 
 def test_nc_mobius_refuses_beyond_the_cap(capsys):
-    bottom = "|".join(str(i) for i in range(1, 17))
-    code, out, err = run_cli(capsys, "nc", "mobius", "16", "--pi", bottom)
+    # the table lists [0_16, 1_16], beyond the cap; one value lists nothing
+    code, out, err = run_cli(capsys, "nc", "mobius", "16")
     assert code == 1 and out == ""
     assert "cap" in err
+    bottom = "|".join(str(i) for i in range(1, 17))
+    top = " ".join(str(i) for i in range(1, 17))
+    code, out, err = run_cli(capsys, "nc", "mobius", "16", "--pi", bottom)
+    assert code == 0 and err == ""
+    assert out == "mobius(%s, %s) = -9694845\n" % (bottom, top)  # -C_15
+
+
+def test_nc_enumerate_count_only_checks_without_listing(capsys, monkeypatch):
+    code, out, err = run_cli(capsys, "nc", "enumerate", "16", "--count-only")
+    assert code == 1 and out == "" and "cap" in err
+    code, out, err = run_cli(capsys, "nc", "enumerate", "0", "--count-only")
+    assert code == 1 and out == "" and "n >= 1" in err
+
+    def no_listing(n):
+        raise AssertionError("listed NC(%d) to count it" % n)
+
+    monkeypatch.setattr(partitions, "_nc_partitions", no_listing)
+    code, out, _ = run_cli(capsys, "nc", "enumerate", "12", "--count-only")
+    assert code == 0
+    assert out == "NC(12): 208012 partitions (Catalan number 208012)\n"
+    code, out, _ = run_cli(capsys, "nc", "enumerate", "12", "--count-only", "--json")
+    assert code == 0 and json.loads(out) == {"n": 12, "count": 208012}
 
 
 def test_bad_partition_text(capsys):

@@ -233,16 +233,16 @@ def test_interval_and_mobius_are_capped_before_they_list(monkeypatch):
         raise AssertionError("listed before the cap was checked")
 
     bot, top = singletons(16), full(16)
-    # three blocks of 8 points: at most Catalan(8)^3 merges, beyond the cap,
-    # while each Mobius factor sums over NC(8) alone
+    # three blocks of 8 points: at most Catalan(8)^3 merges, beyond the cap
     thirds = NcPartition(24, [range(1, 9), range(9, 17), range(17, 25)])
     monkeypatch.setattr(partitions, "_coarsenings", no_listing)
-    for lister in (interval, mobius):
-        with pytest.raises(CapacityError, match="cap"):
-            lister(bot, top)
+    with pytest.raises(CapacityError, match="cap"):
+        interval(bot, top)
     with pytest.raises(CapacityError):
         interval(singletons(24), thirds)
-    monkeypatch.undo()
+    # mobius lists nothing, so it needs no cap: both answers come with the
+    # merge search gone
+    assert mobius(bot, top) == signed_catalan(16)
     assert mobius(singletons(24), thirds) == signed_catalan(8) ** 3
 
 
@@ -335,6 +335,48 @@ def kreweras_mobius(p, q):
     return result
 
 
+def restrict_relabel(blocks, members):
+    """Blocks of a partition restricted to the set ``members`` (which is a
+    union of whole blocks), relabeled to {1..len(members)} canonically."""
+    relabel = {x: i + 1 for i, x in enumerate(sorted(members))}
+    sub = [tuple(relabel[x] for x in b) for b in blocks if b[0] in members]
+    sub.sort(key=lambda b: b[0])
+    return tuple(sub)
+
+
+@lru_cache(maxsize=None)
+def zeta_mu_to_top(blocks):
+    """mu(tau, top) for a canonical non-crossing tau of {1..m}, from
+    sum_{tau <= rho <= top} mu(tau, rho) = 0 whenever tau < top."""
+    if len(blocks) == 1:
+        return 1
+    n = max(b[-1] for b in blocks)
+    acc = 0
+    mu = {}  # the same block of rho recurs across many rho
+    for rho in interval(NcPartition(n, blocks), full(n)):
+        if rho.num_blocks() == 1:  # the top
+            continue
+        term = 1
+        for block in rho.blocks:
+            if block not in mu:
+                mu[block] = zeta_mu_to_top(restrict_relabel(blocks, set(block)))
+            term *= mu[block]
+        acc += term
+    return -acc
+
+
+def zeta_inversion_mobius(p, q):
+    """mu(p, q) by inverting the zeta function over the listed intervals:
+    multiplicative over the blocks of q, each factor a relabeled mu(tau,
+    top) summed over the upper interval of tau.  Independent of the
+    Kreweras complement, and exponential in the blocks of p."""
+    assert leq(p, q)
+    result = 1
+    for block in q.blocks:
+        result *= zeta_mu_to_top(restrict_relabel(p.blocks, set(block)))
+    return result
+
+
 def nc_partitions(n):
     return st.integers(0, catalan_number(n) - 1).map(lambda i: enumerate_nc(n)[i])
 
@@ -371,7 +413,24 @@ def test_interval_matches_filter_property(pair):
 @given(ordered_pairs(max_n=10))
 def test_mobius_matches_kreweras_property(pair):
     p, q = pair
-    assert mobius(p, q) == kreweras_mobius(p, q)
+    value = mobius(p, q)
+    assert value == kreweras_mobius(p, q)
+    assert value == zeta_inversion_mobius(p, q)
+
+
+def test_mobius_past_the_old_cap():
+    # q = {1..20, 30} | {21..29}; its first block holds 16 blocks of p,
+    # which the zeta inversion could not take (it would list NC(16) merges)
+    q = NcPartition(30, [tuple(range(1, 21)) + (30,), range(21, 30)])
+    p = NcPartition(
+        30,
+        [(1, 10, 20, 30), (2, 5), (3,), (4,), (6,), (7,), (8,), (9,), (11, 12)]
+        + [(x,) for x in range(13, 20)]
+        + [(21, 29), (22, 23, 24)] + [(x,) for x in range(25, 29)],
+    )
+    assert leq(p, q)
+    assert sum(b[0] in q.blocks[0] for b in p.blocks) > partitions.ORDER_CAP
+    assert mobius(p, q) == kreweras_mobius(p, q) != 0
 
 
 def test_kreweras_oracle_on_known_values():
