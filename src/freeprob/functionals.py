@@ -29,30 +29,33 @@ contiguous gaps the block leaves, so
              kappa(w|B) * product over the gaps G of B of phi(w|G).
 
 One private kernel, ``_transform``, runs this recursion in both
-directions.  Cumulants to moments adds every term; moments to cumulants
-solves for kappa(w), the term with B the whole word, and subtracts the
-others.
+directions, sharing work between levels through the functional equation
+M = 1 + sum of kappa(c_1..c_s) x_{c_1} M ... x_{c_s} M (Speicher, *Math.
+Ann.* 298, 1994).  The pending-block state S[n][p] sums the terms of
+level n whose block holds positions 0..p, the gap after p still open:
+either p + 1 joins the block, or a gap of length g follows p, so
 
-*Level broadcast.*  For one split (B and its gaps), the cumulant level
-of length |B| spread over the axes in B, and each gap's moment level
-spread over its own axes, multiply by broadcasting into a full level.
-The product is then added to or subtracted from level n, so each split
-costs a few array operations for all k**n words at once.  With one
-letter every level is a single word, held as a plain int: there the
-array calls would cost more than the arithmetic.
+    S[n][p] = S[n][p+1] + sum over g = 1..n-p-1 of S[n-g][p+1] * phi_g,
 
-*Graded integers.*  The recursion is homogeneous in word length: the
-block and gap lengths of a split add up to n.  So the kernel works on
-the stored integers and reduces each derived level once at the end,
-with no Fraction operation.  On the derived side d_n is the lcm of d_n
-of the given level and of every split's product of its block's and
-gaps' d_n; where that product is a proper divisor of d_n, the block
-level is scaled up by the quotient first.  Every d_n divides D**n for
-any D that makes each v * D**|w| an integer, so the graded integers are
-never longer than under one table-wide D.  They are often much shorter:
-pairwise-coprime denominators do not pile up across levels, and the
-denominators that grow with word length in the tables the kernel
-returns need no factoring to grade well.
+with phi_g on positions p+1..p+g, S[n][n] = S[n][n-1] = kappa_n and
+S[n][0] = phi_n.  Moments to cumulants runs the sums without kappa_n and
+solves for it.
+
+*Level broadcast.*  A state on the axes outside a gap times a moment
+level on the gap's axes multiply by broadcasting into a full level: level
+n takes n(n-1)/2 such products over all k**n words at once, not up to
+2**(n-1) - 1 first-block splits.  The states of every level are kept, so
+the working set is about order times one table.
+
+*Graded integers.*  The recursion is homogeneous in word length, so the
+kernel works on the stored integers and reduces each derived level once
+at the end, with no Fraction operation.  A state is kept over the lcm of
+its terms' products of block and gap d_n, over the terms whose factors
+are all nonzero; the derived d_n is the lcm of the given level's d_n and
+of d(state) * d_g over the pairs of level n, which is the lcm over the
+nonzero first-block splits (the test suite checks the two).  Every d_n
+divides D**n for any D that makes each v * D**|w| an integer, and
+pairwise-coprime denominators do not pile up across levels.
 
 The literal one-word lattice sums, ``cumulant_mobius_sum`` and
 ``moment_lattice_sum``, are kept as an independent slow route, and the
@@ -404,95 +407,85 @@ def block_cumulant_product(cf, word, partition):
     return _block_product(cf.cumulant, word, partition)
 
 
-@functools.lru_cache(maxsize=None)
-def _first_block_splits(n):
-    """Every subset of positions {0..n-1} containing 0, with the contiguous
-    gaps it leaves.  Summing over these splits is summing over NC(n)
-    grouped by the block of the first position."""
-    splits = []
-    for mask in range(2 ** (n - 1)):
-        block = [0]
-        for j in range(1, n):
-            if mask >> (j - 1) & 1:
-                block.append(j)
-        ext = block + [n]
-        gaps = tuple((a + 1, b) for a, b in zip(ext, ext[1:]) if b - a > 1)
-        splits.append((tuple(block), gaps))
-    return tuple(splits)
+def _nonzero(x):
+    """A level or state, or None when it is the int 0 or all zero (any()
+    over .flat stops at the first nonzero entry)."""
+    return x if isinstance(x, np.ndarray) and any(x.flat) else None
 
 
-def _spread(level, axes, n, k):
-    """A level laid along the given axes of an n-axis array, size 1 on
-    the others, so that factors on disjoint axes multiply by
-    broadcasting into one word level."""
-    if k == 1:
-        return level
-    shape = [1] * n
-    for i in axes:
-        shape[i] = k
-    return level.reshape(shape)
+def _state(level, den, d):
+    """(level over den, den) for integers over d whose values have
+    denominators dividing den, a divisor of d; (None, den) when zero."""
+    if _nonzero(level) is None:
+        return None, den
+    return (level if den == d else level // (d // den)), den
 
 
 def _transform(table, to_cumulants):
-    """The first-block recursion in either direction, a word level at a
-    time, on integers graded by one denominator per level.
-
-    ``table`` is the given side: moments when ``to_cumulants``, else
-    cumulants.  Yields the other side's levels as (integers, denominator)
-    pairs, n = 1..order.
-    """
+    """The pending-block recursion in either direction, a word level at a
+    time, on graded integers.  ``table`` is the given side: moments when
+    ``to_cumulants``, else cumulants.  Yields the other side's levels as
+    (integers, denominator) pairs, n = 1..order.  Level n costs n(n-1)/2
+    broadcast products; the states of every level are kept, about order
+    times one table."""
     k, order = table.arity, table.order
-    # an all-zero level is None; with one letter a level is its int
-    given = [None] + [
-        (lv.item() if k == 1 else lv) if lv.any() else None for lv in table._nums[1:]
-    ]
+    given = [None] + [_nonzero(lv) for lv in table._nums[1:]]
     given_den = table._dens
-    derived, derived_den = [None], [1]
-    # the block of a split is a cumulant, each gap a moment
-    blocks, gaps = (derived, given) if to_cumulants else (given, derived)
-    block_den, gap_den = (
-        (derived_den, given_den) if to_cumulants else (given_den, derived_den)
-    )
+    phi, phi_den = (given, given_den) if to_cumulants else ([None], [1])
+    # states[m][q] = (S[m][q] or None when zero, its denominator), q >= 1;
+    # the denominator is None when no term of S[m][q] has all factors nonzero
+    states = [None]
     for n in range(1, order + 1):
-        terms = []
-        for block, split_gaps in _first_block_splits(n):
-            if len(block) == n:
-                continue  # the given entry itself
-            lengths = [b - a for a, b in split_gaps]
-            if blocks[len(block)] is None or any(gaps[m] is None for m in lengths):
-                continue
-            den = block_den[len(block)]
-            for m in lengths:
-                den *= gap_den[m]
-            terms.append((block, split_gaps, den))
-        d = math.lcm(given_den[n], *(den for _, _, den in terms))
-        level = 0 if given[n] is None else given[n] * (d // given_den[n])
-        for block, split_gaps, den in terms:
-            block_level = blocks[len(block)]
-            if den != d:
-                block_level = block_level * (d // den)
-            term = _spread(block_level, block, n, k)
-            for a, b in split_gaps:
-                term = term * _spread(gaps[b - a], range(a, b), n, k)
-            if to_cumulants:
-                level -= term
-            else:
-                level += term
-        nonzero = level.any() if isinstance(level, np.ndarray) else level != 0
-        derived.append(level if nonzero else None)
-        derived_den.append(d)
-    for n, level in enumerate(derived[1:], 1):
-        if level is None or k == 1:
-            level = np.full((k,) * n, level or 0, dtype=object)
-        yield level, derived_den[n]
+        # the pairs of a state with terms and a nonzero gap, p descending
+        pairs = [
+            (p, g, state, gap, state_den * phi_den[g])
+            for p in range(n - 2, -1, -1)
+            for g in range(1, n - p)
+            for (state, state_den), gap in [(states[n - g][p + 1], phi[g])]
+            if state_den is not None and gap is not None
+        ]
+        d = math.lcm(given_den[n], *(pair[4] for pair in pairs))
+        own = 0 if given[n] is None else given[n] * (d // given_den[n])
+        # sums[p] = S[n][p] over d and dens[p] its denominator, kappa_n left
+        # out until it is known: running sums once every p' >= p is in
+        acc, acc_den = (0 if to_cumulants else own), None
+        sums, dens = [acc] * (n + 1), [None] * (n + 1)
+        for p, g, state, gap, pair_den in pairs:
+            acc_den = math.lcm(acc_den or 1, pair_den)
+            if state is not None:  # a zero state still counts in the lcm
+                if pair_den != d:
+                    gap = gap * (d // pair_den)
+                # the state on axes 0..p and after the gap, the gap on axes
+                # p+1..p+g (broadcasting aligns the last axes)
+                after = n - p - 1 - g
+                left = state.reshape((k,) * (p + 1) + (1,) * g + (k,) * after)
+                acc = acc + left * gap.reshape((k,) * g + (1,) * after)
+            sums[: p + 1] = [acc] * (p + 1)
+            dens[: p + 1] = [acc_den] * (p + 1)
+        if to_cumulants:
+            out = own - sums[0]
+            sums[1 : n - 1] = [s + out for s in sums[1 : n - 1]]
+            sums[n - 1] = sums[n] = kappa = out
+            kappa_den = d
+        else:
+            out = sums[0]
+            phi.append(_nonzero(out))
+            phi_den.append(d)
+            kappa, kappa_den = own, given_den[n]
+        if _nonzero(kappa) is not None:
+            dens = [math.lcm(e or 1, kappa_den) for e in dens]
+        states.append([None] + [_state(s, e, d) for s, e in zip(sums[1:], dens[1:])])
+        if not isinstance(out, np.ndarray):
+            out = np.full((k,) * n, out, dtype=object)
+        yield out, d
 
 
 def moments_to_cumulants(mf):
     """Invert the moment table into the cumulant table.
 
     kappa(w) is the Mobius-weighted lattice sum over NC(|w|); it is
-    evaluated through the equivalent first-block recursion so that every
-    factor is a finished table entry.  Exact.
+    evaluated through the equivalent pending-block recursion so that
+    every factor is a finished table entry.  Exact.
     """
     if not isinstance(mf, MomentFunctional):
         raise StructuralError("expected a MomentFunctional")

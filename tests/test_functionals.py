@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import struct
@@ -5,7 +6,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freeprob.errors import (
@@ -18,6 +19,7 @@ from freeprob.freeness import FreenessReport, _normalize_grouping, check_freenes
 from freeprob.functionals import (
     CumulantFunctional,
     MomentFunctional,
+    _transform,
     as_scalar,
     block_cumulant_product,
     block_moment_product,
@@ -303,6 +305,165 @@ def test_transform_outputs_pass_the_public_constructor_property(data):
         assert list(out._table) == list(iter_words_upto(k, order))
         assert all(type(v) is F for v in out._table.values())
         assert type(out)(names, order, dict(out.items())) == out
+
+
+# -- the first-block split oracle ---------------------------------------------
+# The transform kernel as it was before the pending-block recursion: level n
+# sums over all 2**(n-1) first blocks, each split a broadcast product of its
+# block's cumulant level and its gaps' moment levels.  Kept verbatim as the
+# oracle for the raw (integers, denominator) pairs of ``_transform``; the
+# lattice-sum properties above stay the independent check of the values.
+
+
+@functools.lru_cache(maxsize=None)
+def first_block_splits(n):
+    """Every subset of positions {0..n-1} containing 0, with the contiguous
+    gaps it leaves.  Summing over these splits is summing over NC(n)
+    grouped by the block of the first position."""
+    splits = []
+    for mask in range(2 ** (n - 1)):
+        block = [0]
+        for j in range(1, n):
+            if mask >> (j - 1) & 1:
+                block.append(j)
+        ext = block + [n]
+        gaps = tuple((a + 1, b) for a, b in zip(ext, ext[1:]) if b - a > 1)
+        splits.append((tuple(block), gaps))
+    return tuple(splits)
+
+
+def split_spread(level, axes, n, k):
+    """A level laid along the given axes of an n-axis array, size 1 on
+    the others, so that factors on disjoint axes multiply by
+    broadcasting into one word level."""
+    if k == 1:
+        return level
+    shape = [1] * n
+    for i in axes:
+        shape[i] = k
+    return level.reshape(shape)
+
+
+def first_block_split_transform(table, to_cumulants):
+    """The first-block recursion in either direction, a word level at a
+    time, on integers graded by one denominator per level.
+
+    ``table`` is the given side: moments when ``to_cumulants``, else
+    cumulants.  Yields the other side's levels as (integers, denominator)
+    pairs, n = 1..order.
+    """
+    k, order = table.arity, table.order
+    # an all-zero level is None; with one letter a level is its int
+    given = [None] + [
+        (lv.item() if k == 1 else lv) if lv.any() else None for lv in table._nums[1:]
+    ]
+    given_den = table._dens
+    derived, derived_den = [None], [1]
+    # the block of a split is a cumulant, each gap a moment
+    blocks, gaps = (derived, given) if to_cumulants else (given, derived)
+    block_den, gap_den = (
+        (derived_den, given_den) if to_cumulants else (given_den, derived_den)
+    )
+    for n in range(1, order + 1):
+        terms = []
+        for block, split_gaps in first_block_splits(n):
+            if len(block) == n:
+                continue  # the given entry itself
+            lengths = [b - a for a, b in split_gaps]
+            if blocks[len(block)] is None or any(gaps[m] is None for m in lengths):
+                continue
+            den = block_den[len(block)]
+            for m in lengths:
+                den *= gap_den[m]
+            terms.append((block, split_gaps, den))
+        d = math.lcm(given_den[n], *(den for _, _, den in terms))
+        level = 0 if given[n] is None else given[n] * (d // given_den[n])
+        for block, split_gaps, den in terms:
+            block_level = blocks[len(block)]
+            if den != d:
+                block_level = block_level * (d // den)
+            term = split_spread(block_level, block, n, k)
+            for a, b in split_gaps:
+                term = term * split_spread(gaps[b - a], range(a, b), n, k)
+            if to_cumulants:
+                level -= term
+            else:
+                level += term
+        nonzero = level.any() if isinstance(level, np.ndarray) else level != 0
+        derived.append(level if nonzero else None)
+        derived_den.append(d)
+    for n, level in enumerate(derived[1:], 1):
+        if level is None or k == 1:
+            level = np.full((k,) * n, level or 0, dtype=object)
+        yield level, derived_den[n]
+
+
+def assert_same_raw_pairs(table, to_cumulants):
+    got = list(_transform(table, to_cumulants))
+    want = list(first_block_split_transform(table, to_cumulants))
+    assert len(got) == len(want) == table.order
+    for n, ((nums, d), (want_nums, want_d)) in enumerate(zip(got, want), 1):
+        assert d == want_d, (n, d, want_d)
+        assert nums.shape == (table.arity,) * n and nums.dtype == object
+        assert np.array_equal(nums, want_nums), n
+
+
+# the kernel's reach: k = 1 to the DSL's order cap, deeper orders for fewer letters
+KERNEL_ORDERS = {1: 12, 2: 8, 3: 6}
+
+
+@st.composite
+def kernel_tables(draw):
+    """(kind, names, order, table): random values with zeros, tracial states,
+    sparse tables with only length-2 entries (the cumulants of a
+    semicircle family), or one prime denominator per word length, the
+    primes pairwise coprime.  Values come from a drawn seed, so that a
+    table of 1,092 words costs one draw."""
+    # sampled_from draws orders evenly, where integers() favours small ones
+    k = draw(st.sampled_from([1, 2, 3]))
+    order = draw(st.sampled_from(range(1, KERNEL_ORDERS[k] + 1)))
+    kind = draw(st.sampled_from(["random", "tracial", "sparse", "coprime"]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    primes = rng.sample(PRIMES[:40], order)
+
+    def value(w):
+        if kind == "sparse":
+            return F(rng.randint(-4, 4), rng.randint(1, 3)) if len(w) == 2 else F(0)
+        if kind == "coprime":
+            return F(rng.randint(-9, 9), primes[len(w) - 1])
+        if rng.random() < 0.2:
+            return F(0)
+        return F(rng.randint(-9, 9), rng.choice(COPRIME))
+
+    table = {}
+    for w in iter_words_upto(k, order):
+        if kind == "tracial":
+            # one value per rotation class, read at its least rotation
+            w0 = min(w[i:] + w[:i] for i in range(len(w)))
+            table[w] = value(w) if w0 == w else table[w0]
+        else:
+            table[w] = value(w)
+    return kind, tuple("abc"[:k]), order, table
+
+
+# A semicircle with kappa_2 = 3/2 at order 12: a state held over its
+# level's d_n instead of its own gives d_12 = 64 for the m->kappa run on
+# its moments, where the split sum gives 32.
+SEMICIRCLE_3_2 = {w: F(3, 2) if len(w) == 2 else F(0) for w in iter_words_upto(1, 12)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_tables())
+@example(("sparse", ("a",), 12, SEMICIRCLE_3_2))
+def test_transform_matches_the_first_block_split_oracle_property(data):
+    kind, names, order, table = data
+    cf = CumulantFunctional(names, order, table)
+    assert_same_raw_pairs(MomentFunctional(names, order, table), True)
+    assert_same_raw_pairs(cf, False)
+    if kind == "sparse":
+        # moments with only length-2 cumulants, as for a semicircle family:
+        # every odd level is zero, and so is every cumulant level beyond 2
+        assert_same_raw_pairs(cumulants_to_moments(cf), True)
 
 
 # -- float levels -----------------------------------------------------------
