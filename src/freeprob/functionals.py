@@ -255,9 +255,12 @@ class _WordTable:
         return zip(self._nums[1 : order + 1], self._dens[1 : order + 1])
 
     def _float_level(self, n):
-        """Level n as floats.  Python's int / int is correctly rounded, as
-        is Fraction.__float__, so the common denominator changes no bit."""
-        return (self._nums[n] / self._dens[n]).astype(float)
+        """Level n as floats; int / int rounds as Fraction.__float__ does, so
+        the common denominator changes no bit."""
+        try:
+            return (self._nums[n] / self._dens[n]).astype(float)
+        except OverflowError:
+            raise DomainError("level %d is outside the float range" % n) from None
 
     def words(self, length=None):
         """Stored words in canonical order (by length, then lexicographic)."""

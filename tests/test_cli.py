@@ -382,6 +382,27 @@ def test_fock_verify_builds_only_the_particles_it_reads(tmp_path, capsys):
     assert payload["summary"]["dim_fock"] == 1 + 16 + 16**2
 
 
+def test_fock_verify_refuses_a_law_outside_the_float_range(tmp_path):
+    # kappa_n = 10**(100 n): the Gram pivot of x x is 10**400, past the
+    # largest float, which is a library error and not a traceback
+    path = tmp_path / "huge.json"
+    table = {(1,) * n: 10 ** (100 * n) for n in range(1, 6)}
+    write_functional(path, CumulantFunctional(("x",), 5, table))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "freeprob.cli", "fock", "verify", "--in", str(path), "--order", "2"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "Gram pivot at x x" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 # -- approx -----------------------------------------------------------------
 
 

@@ -5,12 +5,19 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from freeprob.errors import CapacityError, StructuralError, ValidationError
+from freeprob.errors import CapacityError, DomainError, StructuralError, ValidationError
 from freeprob.fock import (
     MAX_DENSE_BYTES,
+    TOL_FREENESS,
+    TOL_MOMENTS,
+    TOL_STATIONARITY,
     FockModel,
     FockOperator,
+    LevyAxiomSection,
+    LevyReport,
     PolySpace,
     TimeComponent,
     build_fock_model,
@@ -592,7 +599,7 @@ def test_levy_axioms_at_order_four_over_a_3x3_state():
     poly = PolySpace(cf, 4)
     model = FockModel(poly, TimeComponent((0, 1)), 4)
     assert poly.dim == 9 and model.dim == 7381
-    rep = verify_levy_axioms(model, 4)
+    rep = assert_same_report(model, 4)
     assert rep.passed, rep.to_text()
     assert rep.summary == model.summary()
 
@@ -619,3 +626,232 @@ def test_levy_check_reads_no_n_max_of_the_model():
         assert rep.summary == model.summary()
         reports.append(rep)
     assert reports[0].sections == reports[1].sections
+
+
+# -- the per-word Levy check, kept as the oracle for the level-native one
+
+
+def kron_levy_increment(model, var, s, t):
+    """The increment with its one-particle data built by np.kron."""
+    s_, t_ = F(s), F(t)
+    x = np.kron(model.time.indicator_coeffs(s_, t_), model.poly.var_embeddings[var - 1])
+    T = np.kron(
+        np.diag(model.time.multiplier_diag(s_, t_)),
+        model.poly.var_tables[var - 1],
+    )
+    drift = float(t_ - s_) * model.poly.first_cumulants[var - 1]
+    return FockOperator(model.levels, drift, x, x, T, "a[%d](%s,%s)" % (var, s_, t_))
+
+
+def per_word_moment_table(model, ops, names, order):
+    """Vacuum moments as a word -> Fraction(float) dict through the public
+    constructor, suffix states shared."""
+    states = {(): np.ones(1)}
+    table = {}
+    for n in range(1, order + 1):
+        top = min(n, order - n, model.n_max)
+        for w in itertools.product(range(1, len(ops) + 1), repeat=n):
+            states[w] = ops[w[0] - 1]._apply(states[w[1:]], top)
+            table[w] = F(float(states[w][0]))
+    return MomentFunctional(tuple(names), order, table)
+
+
+def per_word_section(name, errors, tolerance):
+    worst = sorted(errors, key=lambda pair: -pair[1])[:3]
+    max_err = worst[0][1] if worst else 0.0
+    return LevyAxiomSection(
+        name=name,
+        max_error=max_err,
+        tolerance=tolerance,
+        passed=max_err <= tolerance,
+        detail=tuple(worst),
+    )
+
+
+def per_word_levy_report(model, order):
+    """verify_levy_axioms with one Fraction subtraction and one name per
+    word, np.kron increments and dict-built moment tables."""
+    poly = model.poly
+    k = poly.arity
+    n_sect = levy_n_max(order)
+    target_cf = poly.cf.truncate(order)
+    target_mf = cumulants_to_moments(target_cf)
+    sections = []
+
+    def increment_moments(breakpoints, intervals, names=target_mf.alphabet):
+        m = FockModel(poly, TimeComponent(breakpoints), n_sect)
+        ops = [kron_levy_increment(m, i, s, t) for s, t in intervals for i in range(1, k + 1)]
+        return per_word_moment_table(m, ops, names, order)
+
+    unit = increment_moments((0, 1), [(0, 1)])
+    errors = [
+        (target_mf.word_name(w), abs(float(unit.moment(w) - target_mf.moment(w))))
+        for w in unit.words()
+    ]
+    sections.append(per_word_section("marginal moments", errors, TOL_MOMENTS))
+
+    t01 = increment_moments((0, 1, 2, 3), [(0, 1)])
+    t23 = increment_moments((0, 1, 2, 3), [(2, 3)])
+    errors = [
+        (t01.word_name(w), abs(float(t01.moment(w) - t23.moment(w))))
+        for w in t01.words()
+    ]
+    sections.append(per_word_section("stationarity", errors, TOL_STATIONARITY))
+
+    names = ["a%d.early" % i for i in range(1, k + 1)]
+    names += ["a%d.late" % i for i in range(1, k + 1)]
+    joint = increment_moments((0, 1, 2), [(0, 1), (1, 2)], names)
+    joint_cf = moments_to_cumulants(joint)
+    errors = []
+    for w in joint_cf.words():
+        early = any(c <= k for c in w)
+        late = any(c > k for c in w)
+        if early and late:
+            errors.append(
+                (joint_cf.word_name(w), abs(float(joint_cf.cumulant(w))))
+            )
+    sections.append(per_word_section("free increments", errors, TOL_FREENESS))
+
+    errors = []
+    m_unit = FockModel(poly, TimeComponent((0, 1)), n_sect)
+    for i in range(1, k + 1):
+        zero = kron_levy_increment(m_unit, i, 0, 0)
+        data = (zero.drift, zero.creation, zero.annihilation, zero.gauge)
+        errors.append(("a[%d](0,0)" % i, float(max(np.abs(a).max() for a in data))))
+    for t in (F(1), F(1, 2), F(1, 4), F(1, 8)):
+        tab = unit if t == 1 else increment_moments((0, t), [(0, t)])
+        cf_t = moments_to_cumulants(tab)
+        for w in cf_t.words():
+            want = t * target_cf.cumulant(w)
+            errors.append(
+                (
+                    "t=%s %s" % (t, cf_t.word_name(w)),
+                    abs(float(cf_t.cumulant(w) - want)),
+                )
+            )
+    sections.append(per_word_section("semigroup in t", errors, TOL_MOMENTS))
+
+    return LevyReport(order=order, summary=model.summary(), sections=tuple(sections))
+
+
+def assert_same_report(model, order):
+    got, want = verify_levy_axioms(model, order), per_word_levy_report(model, order)
+    assert got.to_json_dict() == want.to_json_dict()
+    assert got.to_text() == want.to_text()
+    return got
+
+
+@st.composite
+def levy_laws(draw):
+    """(cumulants to order 2 order + 1, order): compound free Poisson over a
+    random 2 x 2 or 3 x 3 tracial state, a semicircle family or a free
+    Poisson law."""
+    order = draw(st.integers(2, 4))
+    shape = draw(st.sampled_from(["matrix", "semicircle", "poisson"]))
+    if shape == "matrix":
+        k, d = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+        if k * d == 9:
+            order = min(order, 3)  # the 3 x 3, k = 3 law at order 4 is its own test
+        entry = st.integers(-3, 3)
+        mats = []
+        for _ in range(k):
+            m = [[0] * d for _ in range(d)]
+            for i in range(d):
+                for j in range(i, d):
+                    m[i][j] = m[j][i] = draw(entry)
+            m[0][0] = m[0][0] or 1  # no zero matrix, so the one-particle space is not zero
+            mats.append(m)
+        rate = F(draw(st.integers(1, 5)), draw(st.integers(1, 3)))
+        base = matrix_state(mats, draw(st.integers(1, 3)), 2 * order + 1)
+        return compound_free_poisson_cumulants(rate, base), order
+    if shape == "semicircle":
+        a, b = (F(draw(st.integers(1, 9)), draw(st.integers(1, 4))) for _ in "ab")
+        c = F(draw(st.integers(-3, 3)), 4) * min(a, b)
+        return moments_to_cumulants(semicircle_family([[a, c], [c, b]], 2 * order + 1)), order
+    rate, jump = (F(draw(st.integers(1, 9)), draw(st.integers(1, 4))) for _ in "rj")
+    return moments_to_cumulants(free_poisson(rate, jump, 2 * order + 1)), order
+
+
+@settings(max_examples=40, deadline=None)
+@given(levy_laws())
+def test_levy_report_matches_the_per_word_oracle_property(law):
+    cf, order = law
+    poly = PolySpace(cf, order)
+    assert_same_report(FockModel(poly, TimeComponent((0, 1)), levy_n_max(order)), order)
+
+
+def test_levy_report_ties_go_to_the_earlier_word():
+    # at order 1 every error is exactly 0, the drift being float(t) times a
+    # dyadic kappa_1: each section's worst three are its first three cases
+    kappa = {(1,): F(1, 2), (2,): F(-1, 4), (1, 1): F(1), (2, 2): F(1)}
+    exact = CumulantFunctional.from_function(("u", "v"), 3, lambda w: kappa.get(w, 0))
+    rep = assert_same_report(FockModel(PolySpace(exact, 1), TimeComponent((0, 1)), 1), 1)
+    assert all(s.max_error == 0.0 for s in rep.sections)
+    assert rep.section("marginal moments").detail == (("u", 0.0), ("v", 0.0))
+    assert rep.section("stationarity").detail == (("u", 0.0), ("v", 0.0))
+    assert rep.section("free increments").detail == ()  # no mixed word of length 1
+    cases = [case for case, _ in rep.section("semigroup in t").detail]
+    assert cases == ["a[1](0,0)", "a[2](0,0)", "t=1 u"]
+
+    # two free standard semicircles at order 3: the first three sections
+    # are exactly 0 on every word, mixed words included
+    indep = moments_to_cumulants(semicircle_family([[F(1), F(0)], [F(0), F(1)]], 7))
+    rep = assert_same_report(FockModel(PolySpace(indep, 3), TimeComponent((0, 1)), 1), 3)
+    words = ["s1", "s2", "s1 s1"]
+    for name in ("marginal moments", "stationarity"):
+        assert rep.section(name).detail == tuple((w, 0.0) for w in words)
+    mixed = ["a1.early a1.late", "a1.early a2.late", "a2.early a1.late"]
+    assert rep.section("free increments").detail == tuple((w, 0.0) for w in mixed)
+
+
+@pytest.mark.parametrize("n_max, n_elem", [(1, 3), (2, 2), (3, 1)])
+def test_moment_table_levels_match_the_public_constructor(n_max, n_elem):
+    model = mixed_model(n_max, n_elem)
+    end = model.time.breakpoints[-1]
+    generic = generic_operator(model, n_max)
+    ops = [generic, model.levy_increment(1, F(1, 2), end), model.levy_increment(2, 0, end)]
+    order = 2 * n_max + 1
+    table = model.moment_table(ops, ("g", "a", "b"), order)
+    want = per_word_moment_table(model, ops, ("g", "a", "b"), order)
+    assert table == want
+    assert table._dens == want._dens
+    assert dict(table.items()) == dict(want.items())
+
+
+def test_increments_match_the_kron_construction_bit_for_bit():
+    model = mixed_model(2, 3)
+    half, end = F(1, 2), model.time.breakpoints[-1]
+    for var in (1, 2):
+        for s, t in [(0, end), (half, end), (0, half), (half, half), (half, 1)]:
+            got, want = model.levy_increment(var, s, t), kron_levy_increment(model, var, s, t)
+            assert np.array_equal(got.creation, want.creation)
+            assert np.array_equal(got.gauge, want.gauge)
+            assert got.drift == want.drift and got.label == want.label
+            assert np.array_equal(model.hat_vector(var, s, t), want.creation)
+
+
+# -- laws outside the float range
+
+
+def huge_law(order=5):
+    """kappa_n = 10**(100 n) in one variable: the Gram pivot of x x is
+    10**400, beyond the largest float."""
+    return CumulantFunctional(("x",), order, {(1,) * n: 10 ** (100 * n) for n in range(1, order + 1)})
+
+
+def test_laws_outside_the_float_range_raise_domain_error():
+    with pytest.raises(DomainError, match="Gram pivot at x x"):
+        PolySpace(huge_law(), 2)
+    # kappa_3 = 10**400 is no pivot but is read by the multiplication table
+    cube = CumulantFunctional(("x",), 3, {(1,): 0, (1, 1): 1, (1, 1, 1): 10**400})
+    with pytest.raises(DomainError, match="level 3"):
+        PolySpace(cube, 1)
+    # variance 10**200 is a float, its fourth moment 2 * 10**400 is not
+    wide = CumulantFunctional(("x",), 9, {(1,) * n: int(n == 2) * 10**200 for n in range(1, 10)})
+    model = build_fock_model(wide, 4, 2)
+    a = model.levy_increment(1, 0, 1)
+    with np.errstate(over="ignore"):
+        table = model.moment_table([a], ("s",), 3)
+        assert table.moment((1, 1)) == F(float(10**200))
+        with pytest.raises(DomainError, match="vacuum moment of s s s s is inf"):
+            model.moment_table([a], ("s",), 4)
