@@ -26,7 +26,7 @@ import sys
 from fractions import Fraction
 
 from .dsl import Session, run_source
-from .errors import DomainError, FreeprobError, ParseError, ValidationError
+from .errors import FreeprobError, ParseError, ValidationError
 from .fock import build_fock_model, levy_n_max, verify_levy_axioms
 from .functionals import (
     CumulantFunctional,
@@ -171,6 +171,8 @@ def _cmd_nc_enumerate(args):
 
 def _cmd_nc_mobius(args):
     n = args.n
+    if args.pi is None:  # the table: the checks of the listing, before full(n)
+        _check_listing(n)
     pi = None if args.pi is None else NcPartition(n, _partition(args.pi))
     sigma = full(n) if args.sigma is None else NcPartition(n, _partition(args.sigma))
     if pi is not None:
@@ -182,8 +184,6 @@ def _cmd_nc_mobius(args):
         else:
             _emit("mobius(%s, %s) = %d" % (pi, sigma, value))
         return 0
-    if n < 1:  # no table for NC(0), in the words of `nc enumerate 0`
-        raise DomainError("enumerate_nc needs n >= 1")
     rows = [(str(p), mobius(p, sigma)) for p in interval(singletons(n), sigma)]
     if args.json:
         _emit_json(

@@ -16,8 +16,9 @@ one, so within that budget no state ever leaves the modeled subspace and
 the compressions act as identities.
 
 Operators are held as their one-particle data (drift, creation and
-annihilation vectors, gauge matrix) and applied to float state vectors
-over the truncated tensor basis level by level; a dense matrix is built
+annihilation vectors, gauge matrix) and applied to stacks of float state
+vectors over the truncated tensor basis level by level, a moment table
+taking one step per operator per word length; a dense matrix is built
 only on request.  The rational Gram data and its pivoted elimination stay
 exact, and square roots enter only when the orthonormal basis is finally
 written down.  The float Gram and multiplication tables are Hankel cuts
@@ -164,6 +165,7 @@ class TimeComponent:
             raise ValidationError("breakpoints must be strictly increasing")
         self.breakpoints = pts
         self.lengths = tuple(b - a for a, b in zip(pts, pts[1:]))
+        self._index = {p: i for i, p in enumerate(pts)}
 
     @classmethod
     def from_endpoints(cls, endpoints):
@@ -176,23 +178,26 @@ class TimeComponent:
         return len(self.lengths)
 
     def _locate(self, s, t):
+        """Indices (i0, i1) of the breakpoints s <= t: the interval covers
+        the elementary intervals i0..i1 - 1."""
         s, t = as_scalar(s), as_scalar(t)
-        if s not in self.breakpoints or t not in self.breakpoints:
+        i0, i1 = self._index.get(s), self._index.get(t)
+        if i0 is None or i1 is None:
             raise ValidationError(
                 "interval (%s, %s) endpoints are not registered breakpoints"
                 % (s, t)
             )
-        if t < s:
+        if i1 < i0:
             raise ValidationError("interval must have s <= t")
-        i0 = self.breakpoints.index(s)
-        i1 = self.breakpoints.index(t)
         return i0, i1
 
     def indicator_coeffs(self, s, t):
         """Coordinates of the indicator of (s, t) in the orthonormal basis
         of normalized elementary indicators: sqrt(length) on each covered
         elementary interval."""
-        i0, i1 = self._locate(s, t)
+        return self._indicator(*self._locate(s, t))
+
+    def _indicator(self, i0, i1):
         out = np.zeros(self.n_elem)
         for j in range(i0, i1):
             out[j] = math.sqrt(float(self.lengths[j]))
@@ -214,8 +219,11 @@ class FockOperator:
     Level m of a state, viewed as a (D, D^(m-1)) block whose rows index
     the first tensor factor, sends outer(x, v_m) to level m+1 (creation
     vector x), y @ v_m to level m-1 (annihilation vector y) and T @ v_m
-    to level m (gauge matrix T); the drift scales v.  ``apply`` costs
-    O(D dim); ``matrix`` builds the dense matrix on request.
+    to level m (gauge matrix T); the drift scales v.  The step acts on a
+    stack of level prefixes at once, one row per state, with the same
+    products per row as on one vector; ``apply`` is the stack of one
+    full state and costs O(D dim).  ``matrix`` builds the dense matrix
+    on request.
     """
 
     levels: tuple  # slice of each particle level 0..n_max in a state
@@ -259,29 +267,31 @@ class FockOperator:
         dim = self.levels[-1].stop
         if v.shape != (dim,):
             raise StructuralError("state vector must have length %d" % dim)
-        return self._apply(v, len(self.levels) - 1)
+        return self._apply(v[None], len(self.levels) - 1)[0]
 
     def _apply(self, v, top):
-        """Levels 0..top of the image of a level prefix v (levels
-        0..L, v = state[:levels[L].stop]).  Output level m reads input
-        levels m-1, m and m+1 only, so levels above top + 1 are never
-        read, and an absent level counts as zero.  Each level takes its
-        terms in the order drift, creation + gauge, annihilation."""
+        """Levels 0..top of the image of each row of v, a stack of level
+        prefixes (levels 0..L, each row state[:levels[L].stop]).  Output
+        level m reads input levels m-1, m and m+1 only, so levels above
+        top + 1 are never read, and an absent level counts as zero.  Each
+        level takes its terms in the order drift, creation + gauge,
+        annihilation; a row's products are those of one vector, so every
+        row equals its own step bit for bit."""
         levels = self.levels
         x, y, T = self.creation, self.annihilation, self.gauge
-        have = len(v)
-        out = np.zeros(levels[top].stop)
-        n = min(have, len(out))
-        out[:n] = self.drift * v[:n]
+        rows, have = v.shape
+        out = np.zeros((rows, levels[top].stop))
+        n = min(have, out.shape[1])
+        out[:, :n] = self.drift * v[:, :n]
         for below, here in zip(levels[:top], levels[1 : top + 1]):
             if here.stop > have:  # v ends below this level: creation only
-                out[here] = (x[:, None] * v[below]).ravel()
+                out[:, here] = (x[:, None] * v[:, None, below]).reshape(rows, -1)
                 break
-            block = v[here].reshape(len(x), -1)
-            out[below] += y @ block
-            out[here] += (x[:, None] * v[below] + T @ block).ravel()
-        if have > len(out):  # v holds level top + 1
-            out[levels[top]] += y @ v[levels[top + 1]].reshape(len(x), -1)
+            block = v[:, here].reshape(rows, len(x), -1)
+            out[:, below] += y @ block
+            out[:, here] += (x[:, None] * v[:, None, below] + T @ block).reshape(rows, -1)
+        if have > out.shape[1]:  # v holds level top + 1
+            out[:, levels[top]] += y @ v[:, levels[top + 1]].reshape(rows, len(x), -1)
         return out
 
 
@@ -404,9 +414,10 @@ class FockModel:
         if not 1 <= var <= self.poly.arity:
             raise ValidationError("variable %r outside 1..%d" % (var, self.poly.arity))
         s_, t_ = as_scalar(s), as_scalar(t)
-        x = self.hat_vector(var, s_, t_)
+        i0, i1 = self.time._locate(s_, t_)
+        x = np.outer(self.time._indicator(i0, i1), self.poly.var_embeddings[var - 1]).ravel()
         drift = float(t_ - s_) * self.poly.first_cumulants[var - 1]
-        covered = np.flatnonzero(self.time.multiplier_diag(s_, t_))
+        covered = np.arange(i0, i1)
         T = np.zeros((self.time.n_elem, self.poly.dim) * 2)  # (time, poly) squared
         T[covered, :, covered, :] = self.poly.var_tables[var - 1]
         T = T.reshape((self.hat_dim,) * 2)
@@ -422,19 +433,29 @@ class FockModel:
     def vacuum_moment(self, ops):
         """<A_1 ... A_r vacuum, vacuum> for a product applied left to
         right as written, on the light cone of ``moment_table``: after j
-        of the r factors the state keeps levels 0..min(j, r - j)."""
+        of the r factors the state keeps levels 0..min(j, r - j).  A
+        moment past the float range is returned as inf or nan, without a
+        numpy warning."""
         steps = [self._stepper(op) for op in ops]
         r = len(steps)
-        v = np.ones(1)  # level 0 of the vacuum
-        for j, step in enumerate(reversed(steps), 1):
-            v = step(v, min(j, r - j, self.n_max))
-        return float(v[0])
+        v = np.ones((1, 1))  # level 0 of the vacuum, a stack of one
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j, step in enumerate(reversed(steps), 1):
+                v = step(v, min(j, r - j, self.n_max))
+        return float(v[0, 0])
 
     def moment_table(self, ops, names, order):
         """Joint vacuum-moment table of the given FockOperators as an exact
         MomentFunctional (floats promoted to their binary rationals).
-        Shares suffix states across words, one step per word; levels are
-        graded as by the constructor, DomainError if a moment is not finite.
+        Levels are graded as by the constructor; DomainError names the
+        first word, in canonical order, whose moment is not finite.
+
+        The suffix states of one word length are one stack, a row per
+        word in canonical order.  Level n is one step of each operator on
+        the stack of level n - 1: the rows of operator c are the words
+        c w' with w' in canonical order, so stacking them by c gives the
+        canonical order of level n, and column 0 holds its moments.  Only
+        the previous level's stack is kept.
 
         Light cone: every factor changes particle number by at most one,
         so the suffix state of a word of length n has no level above n,
@@ -449,22 +470,26 @@ class FockModel:
         if len(ops) != len(names):
             raise StructuralError("need one name per operator")
         steps = [self._stepper(op) for op in ops]
-        states = {(): np.ones(1)}
-        levels = []
-        for n in range(1, order + 1):
-            top = min(n, order - n, self.n_max)
-            pairs = []
-            for w in itertools.product(range(1, len(ops) + 1), repeat=n):
-                states[w] = steps[w[0] - 1](states[w[1:]], top)
-                value = float(states[w][0])
-                if not math.isfinite(value):
-                    word = " ".join(names[c - 1] for c in w)
-                    raise DomainError("vacuum moment of %s is %s" % (word, value))
-                pairs.append(value.as_integer_ratio())
-            d = math.lcm(*(q for _, q in pairs))
-            graded = np.array([p * (d // q) for p, q in pairs], dtype=object)
-            levels.append((graded.reshape((len(ops),) * n), d))
-        return MomentFunctional._trusted(tuple(names), order, levels)
+        k = len(steps)
+
+        def graded_levels():  # read after the alphabet and order are checked
+            states = np.ones((1, 1))  # level 0 of the vacuum
+            for n in range(1, order + 1):
+                top = min(n, order - n, self.n_max)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    states = np.concatenate([step(states, top) for step in steps])
+                values = states[:, 0]
+                finite = np.isfinite(values)
+                if not finite.all():
+                    i = int(np.argmin(finite))
+                    word = " ".join(names[c] for c in np.unravel_index(i, (k,) * n))
+                    raise DomainError("vacuum moment of %s is %s" % (word, float(values[i])))
+                pairs = [value.as_integer_ratio() for value in values.tolist()]
+                d = math.lcm(*(q for _, q in pairs))
+                graded = np.array([p * (d // q) for p, q in pairs], dtype=object)
+                yield graded.reshape((k,) * n), d
+
+        return MomentFunctional._trusted(tuple(names), order, graded_levels())
 
 
 build_poly_space = PolySpace

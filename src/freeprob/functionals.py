@@ -169,6 +169,10 @@ class _WordTable:
         self.order = _check_order(order)
         k = len(self.alphabet)
         data = {tuple(w): as_scalar(v) for w, v in table.items()}
+        if order > len(data):  # sum(k**n for n <= order) >= order, for any k
+            raise ValidationError(
+                "table is not total: %d entries, need at least %d" % (len(data), order)
+            )
         # whole-table checks; the loops only name the first bad word
         if not set(map(len, data)) <= set(range(1, order + 1)):
             bad = next(w for w in data if not 1 <= len(w) <= order)

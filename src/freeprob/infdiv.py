@@ -159,11 +159,6 @@ def _scaled_symmetric_rows(rows):
     return S, scale, A
 
 
-def _as_symmetric_rows(rows):
-    """The rows as Fractions, checked square and symmetric."""
-    return _scaled_symmetric_rows(rows)[0]
-
-
 _ZERO = Fraction(0)
 
 

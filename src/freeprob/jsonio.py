@@ -73,7 +73,7 @@ def functional_from_dict(data):
     if data.get("format") != FORMAT_TAG:
         _fail("missing format tag %r" % FORMAT_TAG)
     kind = data.get("kind")
-    if kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         _fail("kind must be one of %s" % ", ".join(sorted(_KINDS)))
     names = data.get("vars")
     if not isinstance(names, list) or not names:

@@ -159,12 +159,6 @@ class NcPartition:
     def num_blocks(self):
         return len(self.blocks)
 
-    def block_containing(self, i):
-        for block in self.blocks:
-            if i in block:
-                return block
-        raise DomainError("%d is not in 1..%d" % (i, self.n))
-
     def __eq__(self, other):
         return (
             isinstance(other, NcPartition)

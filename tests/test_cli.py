@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -11,8 +12,9 @@ import jsonschema
 import numpy as np
 import pytest
 
-from freeprob import partitions
+from freeprob import cli, partitions
 from freeprob.cli import main
+from freeprob.errors import CapacityError
 from freeprob.functionals import (
     CumulantFunctional,
     MomentFunctional,
@@ -122,6 +124,21 @@ def test_nc_mobius_refuses_beyond_the_cap(capsys):
     assert out == "mobius(%s, %s) = -9694845\n" % (bottom, top)  # -C_15
 
 
+def test_nc_mobius_table_checks_the_listing_before_building_one_n(capsys, monkeypatch):
+    with pytest.raises(CapacityError, match="cap"):
+        partitions._check_listing(10**9)
+
+    def no_top(n):
+        raise AssertionError("built 1_%d before the listing checks" % n)
+
+    monkeypatch.setattr(cli, "full", no_top)
+    code, out, err = run_cli(capsys, "nc", "mobius", "1000000000")
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        "error: listing may exceed the cap of 9694845 partitions, |NC(15)|"
+    ]
+
+
 def test_nc_enumerate_count_only_checks_without_listing(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "nc", "enumerate", "16", "--count-only")
     assert code == 1 and out == "" and "cap" in err
@@ -213,6 +230,25 @@ def test_transform_roundtrip(tmp_path, capsys):
     code, _, err = run_cli(capsys, "transform", "c2m", "--in", str(m_path))
     assert code == 2
     assert "kind" in err
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("kind", [], "kind must be one of cumulants, moments"),
+        ("order", 2**70, "table is not total: 2 entries, need at least 1180591620717411303424"),
+    ],
+)
+def test_transform_refuses_a_malformed_document_with_one_error_line(
+    tmp_path, capsys, field, value, message
+):
+    payload = functional_to_dict(semicircle(1, 2))
+    payload[field] = value
+    path = tmp_path / "bad.json"
+    write_json(path, payload)
+    code, out, err = run_cli(capsys, "transform", "m2c", "--in", str(path))
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: bad functional file: " + message]
 
 
 def test_compound_model_from_base_file(tmp_path, capsys):
@@ -380,6 +416,19 @@ def test_fock_verify_builds_only_the_particles_it_reads(tmp_path, capsys):
     assert payload["passed"] is True
     assert payload["summary"]["n_max"] == 2
     assert payload["summary"]["dim_fock"] == 1 + 16 + 16**2
+
+
+def test_fock_verify_reports_an_overflow_in_one_error_line(tmp_path, capsys):
+    # variance 10**200 is a float, the fourth moment 2 * 10**400 is not;
+    # the finiteness check reports it, and numpy warns of nothing
+    path = tmp_path / "wide.json"
+    table = {(1,) * n: int(n == 2) * 10**200 for n in range(1, 10)}
+    write_functional(path, CumulantFunctional(("x",), 9, table))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "fock", "verify", "--in", str(path), "--order", "4")
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: vacuum moment of x x x x is inf"]
 
 
 def test_fock_verify_refuses_a_law_outside_the_float_range(tmp_path):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -504,6 +505,48 @@ def test_light_cone_moment_table_is_bit_identical(n_max, n_elem, order):
         assert model.vacuum_moment([ops[c - 1] for c in w]) == want[w], w
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(LIGHT_CONE), st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_stacked_apply_matches_the_per_vector_step_property(case, rows, seed):
+    # every (prefix, top) pair that a word of length r <= order meets on
+    # its light cone, prefix min(j - 1, r - j + 1, n_max) levels before
+    # step j and top min(j, r - j, n_max) after it
+    n_max, n_elem, order = case
+    model = mixed_model(n_max, n_elem)
+    generic = generic_operator(model, seed)
+    rng = np.random.default_rng(seed)
+    cone = {
+        (min(j - 1, r - j + 1, n_max), min(j, r - j, n_max))
+        for r in range(1, order + 1)
+        for j in range(1, r + 1)
+    }
+    for op in (generic, generic.adjoint()):
+        for have, top in sorted(cone):
+            v = rng.normal(size=(rows, model.levels[have].stop))
+            got = op._apply(v, top)
+            assert got.shape == (rows, model.levels[top].stop)
+            for row, prefix in zip(got, v):
+                assert np.array_equal(row, per_vector_apply(op, prefix, top))
+
+
+def test_moment_table_names_a_nan_in_the_middle_of_a_level():
+    # b's annihilation vector holds a NaN, which only a word b w with w
+    # nonempty reads: level 1 is finite, and level 2 reads a a, a b, a c,
+    # then b a, the first bad word, with more words after it
+    model = mixed_model(2, 2)
+    a = generic_operator(model, 1)
+    y = a.annihilation.copy()
+    y[1] = np.nan
+    b = FockOperator(model.levels, a.drift, a.creation, y, a.gauge, "b")
+    ops = [a, b, a.adjoint()]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="^vacuum moment of b a is nan$"):
+            model.moment_table(ops, ("a", "b", "c"), 2)
+        assert model.moment_table(ops, ("a", "b", "c"), 1).moment((2,)) == F(a.drift)
+        assert math.isnan(model.vacuum_moment([b, a]))
+
+
 def test_moment_table_refuses_operators_of_another_model():
     small, big = mixed_model(2, 1), mixed_model(3, 1)
     op = big.levy_increment(1, 0, F(1, 2))
@@ -643,15 +686,37 @@ def kron_levy_increment(model, var, s, t):
     return FockOperator(model.levels, drift, x, x, T, "a[%d](%s,%s)" % (var, s_, t_))
 
 
+def per_vector_apply(op, v, top):
+    """The light-cone step on one level prefix v: levels 0..top of op
+    applied to v, an absent level counting as zero, each level's terms in
+    the order drift, creation + gauge, annihilation."""
+    levels = op.levels
+    x, y, T = op.creation, op.annihilation, op.gauge
+    have = len(v)
+    out = np.zeros(levels[top].stop)
+    n = min(have, len(out))
+    out[:n] = op.drift * v[:n]
+    for below, here in zip(levels[:top], levels[1 : top + 1]):
+        if here.stop > have:  # v ends below this level: creation only
+            out[here] = (x[:, None] * v[below]).ravel()
+            break
+        block = v[here].reshape(len(x), -1)
+        out[below] += y @ block
+        out[here] += (x[:, None] * v[below] + T @ block).ravel()
+    if have > len(out):  # v holds level top + 1
+        out[levels[top]] += y @ v[levels[top + 1]].reshape(len(x), -1)
+    return out
+
+
 def per_word_moment_table(model, ops, names, order):
     """Vacuum moments as a word -> Fraction(float) dict through the public
-    constructor, suffix states shared."""
+    constructor, suffix states shared, one step per word."""
     states = {(): np.ones(1)}
     table = {}
     for n in range(1, order + 1):
         top = min(n, order - n, model.n_max)
         for w in itertools.product(range(1, len(ops) + 1), repeat=n):
-            states[w] = ops[w[0] - 1]._apply(states[w[1:]], top)
+            states[w] = per_vector_apply(ops[w[0] - 1], states[w[1:]], top)
             table[w] = F(float(states[w][0]))
     return MomentFunctional(tuple(names), order, table)
 

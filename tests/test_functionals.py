@@ -61,6 +61,8 @@ def test_as_scalar():
 def test_table_must_be_total():
     with pytest.raises(ValidationError):
         MomentFunctional(("a",), 2, {(1,): F(0)})
+    with pytest.raises(ValidationError, match="1 entries, need at least 2361183241434822606848"):
+        MomentFunctional(("a", "b"), 2**71, {(1,): F(0)})  # refused in O(len(table))
     with pytest.raises(StructuralError):
         MomentFunctional(("a",), 1, {(1,): F(0), (2,): F(1)})
     with pytest.raises(StructuralError):

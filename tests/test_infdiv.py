@@ -20,7 +20,7 @@ from freeprob.functionals import as_scalar
 from freeprob.infdiv import (
     GramMatrix,
     PivotedDecomposition,
-    _as_symmetric_rows,
+    _scaled_symmetric_rows,
     check_infdiv,
     gram_matrix,
     is_psd,
@@ -222,6 +222,11 @@ def test_kappa_checks_flag_nontracial_table():
 # The pivoted elimination on Fraction objects that psd_certificate ran
 # before it became fraction-free, kept verbatim: the integer elimination
 # must return the very same PivotedDecomposition.
+
+
+def _as_symmetric_rows(rows):
+    """The rows as Fractions, checked square and symmetric."""
+    return _scaled_symmetric_rows(rows)[0]
 
 
 def rational_psd_certificate(rows, tolerance=0):
