@@ -89,7 +89,7 @@ def good_payload():
     [
         (lambda d: d.pop("format"), "format tag"),
         (lambda d: d.update(kind="laws"), "kind"),
-        (lambda d: d.update(kind=[]), "kind"),
+        (lambda d: d.update(kind=[]), "kind must be one of"),
         (lambda d: d.update(vars=[]), "vars"),
         (lambda d: d.update(vars=["s", "s"]), "repeated"),
         (lambda d: d.update(vars=["s", "a b"]), "bad variable name"),
@@ -101,7 +101,7 @@ def good_payload():
         (lambda d: d["table"].update({"s": 2}), "rational string"),
         (lambda d: d["table"].update({" ": "1"}), "empty word"),
         (lambda d: d["table"].pop("s"), "not total"),
-        (lambda d: d.update(order=2**70), "not total"),  # refused before any sum over 2**70 levels
+        (lambda d: d.update(order=2**70), "need at least"),  # refused before any sum over 2**70 levels
         (lambda d: d["table"].update({"s": "1/0"}), "not a rational"),
     ],
 )
