@@ -19,11 +19,11 @@ Operators are held as their one-particle data (drift, creation and
 annihilation vectors, gauge matrix) and applied to stacks of float state
 vectors over the truncated tensor basis level by level, a moment table
 taking one step per operator per word length; a dense matrix is built
-only on request.  The rational Gram data and its pivoted elimination stay
-exact, and square roots enter only when the orthonormal basis is finally
-written down.  The float Gram and multiplication tables are Hankel cuts
-(``infdiv._hankel``) of whole cumulant levels, each level converted to
-float once.
+only on request.  The Gram cut from the stored integer levels and its
+pivoted elimination stay exact, and square roots enter only when the
+orthonormal basis is finally written down.  The float Gram and
+multiplication tables are Hankel cuts (``infdiv._hankel``) of whole
+cumulant levels, each level converted to float once.
 
 *Light cone.*  Every operator changes particle number by at most one, so
 in a vacuum moment of r factors the state after j of them has no level
@@ -57,7 +57,7 @@ from .functionals import (
     cumulants_to_moments,
     moments_to_cumulants,
 )
-from .infdiv import _hankel, gram_matrix, monomial_basis, psd_certificate
+from .infdiv import _eliminate, _hankel, _integer_hankel, _word_pairs, monomial_basis
 
 DEFAULT_PIVOT_TOLERANCE = Fraction(1, 10**10)
 TOL_MOMENTS = 1e-9  # marginal moments and the semigroup in t
@@ -70,9 +70,9 @@ MAX_FOCK_DIM = 60000  # longest state vector a FockModel allows
 class PolySpace:
     """Orthonormalized quotient of the monomial span of degree <= d_H.
 
-    Built from exact rational data: the cumulant Gram matrix is assembled
-    and eliminated exactly with diagonal pivoting (``psd_certificate``,
-    fraction-free on integers, pivots and basis returned as Fractions),
+    Built from exact rational data: the cumulant Gram matrix is cut from
+    the stored integer levels and eliminated exactly with diagonal pivoting
+    (``infdiv._eliminate``, fraction-free, pivots and basis as Fractions),
     pivots below the cutoff count as kernel, and only the final
     normalization by 1/sqrt(pivot) produces floats.  Since the cutoff is
     positive, the PSD check behind a built space is only approximate: the
@@ -99,8 +99,8 @@ class PolySpace:
         self.monomials = monomial_basis(cf.arity, d_H)
         self._mono_index = {w: i for i, w in enumerate(self.monomials)}
 
-        gram = gram_matrix(cf, cf.arity, d_H)
-        cert = psd_certificate(gram.row_lists(), DEFAULT_PIVOT_TOLERANCE)
+        rows, scale = _integer_hankel(cf, cf.arity, range(1, d_H + 1))
+        cert = _eliminate(rows, scale, DEFAULT_PIVOT_TOLERANCE, _word_pairs(cf, self.monomials))
         if not cert.psd:
             names = [cf.word_name(w) for w in self.monomials]
             combo = ", ".join(
@@ -112,7 +112,6 @@ class PolySpace:
                 "Gram matrix is not positive semidefinite; witness %s has "
                 "form value %s" % (combo, cert.witness_value)
             )
-        self.gram = gram
         self.pivot_values = tuple(value for _, value in cert.pivots)
         self.dim = len(cert.pivots)
         self.kernel_dim = len(self.monomials) - self.dim

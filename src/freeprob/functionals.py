@@ -118,11 +118,14 @@ def _check_alphabet(alphabet):
     return names
 
 
+MAX_ORDER = 32  # a level of length n has n axes, and numpy iterates at most 32
+
+
 def _check_order(order):
     if not isinstance(order, int) or isinstance(order, bool):
         raise ValidationError("order must be an int, got %r" % (order,))
-    if order < 1:
-        raise ValidationError("order must be >= 1")
+    if not 1 <= order <= MAX_ORDER:
+        raise ValidationError("order must be in 1..%d, got %d" % (MAX_ORDER, order))
     return order
 
 
@@ -166,13 +169,13 @@ class _WordTable:
 
     def __init__(self, alphabet, order, table):
         self.alphabet = _check_alphabet(alphabet)
-        self.order = _check_order(order)
         k = len(self.alphabet)
         data = {tuple(w): as_scalar(v) for w, v in table.items()}
-        if order > len(data):  # sum(k**n for n <= order) >= order, for any k
+        if type(order) is int and order > len(data):  # sum(k**n for n <= order) >= order
             raise ValidationError(
                 "table is not total: %d entries, need at least %d" % (len(data), order)
             )
+        self.order = _check_order(order)
         # whole-table checks; the loops only name the first bad word
         if not set(map(len, data)) <= set(range(1, order + 1)):
             bad = next(w for w in data if not 1 <= len(w) <= order)
@@ -242,17 +245,6 @@ class _WordTable:
             return self._values[w]
         except KeyError:
             raise StructuralError("word %r not over alphabet 1..%d" % (w, self.arity))
-
-    def _level(self, n):
-        """The words of length n in canonical order, as an object array of
-        shape (k,)*n with the letter at position i on axis i."""
-        if n > self.order:
-            raise CapacityError(
-                "word of length %d beyond order cap %d" % (n, self.order)
-            )
-        values = (self._values[w] for w in iter_words(self.arity, n))
-        out = np.fromiter(values, dtype=object, count=self.arity**n)
-        return out.reshape((self.arity,) * n)
 
     def _graded(self, order):
         # the stored (integers, denominator) of levels 1..order, shared

@@ -15,9 +15,9 @@ The same elimination doubles as the rank-revealing decomposition the Fock
 construction needs, so it returns the pivot basis as well.
 
 Every Gram matrix in the package has the one layout f(w . reverse(v)) over
-words in canonical order, and ``_hankel`` cuts it from whole word levels:
-``gram_matrix`` on exact cumulants, ``fock.PolySpace`` on float ones, and
-``limits.poisson_approximation`` on a base's moments, empty word included.
+words in canonical order, cut by ``_hankel`` from whole word levels.  An
+exact Gram is the integer cut ``_integer_hankel`` of the stored levels over
+one denominator, which goes straight to the elimination ``_eliminate``.
 """
 
 from __future__ import annotations
@@ -96,9 +96,21 @@ def _hankel(levels, k, lengths):
     return np.concatenate(rows)
 
 
-def gram_matrix(cf, k=None, degree=1):
-    """Assemble the Gram matrix of a cumulant functional on the first k
-    variables at the given degree.  Needs cumulants up to order 2*degree."""
+def _integer_hankel(table, k, lengths):
+    """(rows, L): ``_hankel`` of a table on its first k letters as int rows
+    over L, the lcm of the stored d_n it reads, each level brought to L.
+    The empty word's entry, f() = 1, is L."""
+    top = 2 * max(lengths)
+    scale = math.lcm(*table._dens[1 : top + 1])
+    levels = [scale] + [
+        lv[(slice(k),) * n] * (scale // d) for n, (lv, d) in enumerate(table._graded(top), 1)
+    ]
+    return _hankel(levels, k, lengths).tolist(), scale
+
+
+def _cumulant_gram(cf, k, degree):
+    """(cumulants, k, words, rows, L): the checked input of a degree-d Gram
+    on the first k variables and its ``_integer_hankel`` cut."""
     if isinstance(cf, MomentFunctional):
         cf = moments_to_cumulants(cf)
     if not isinstance(cf, CumulantFunctional):
@@ -111,9 +123,22 @@ def gram_matrix(cf, k=None, degree=1):
         raise ValidationError(
             "need cumulants to order %d, table stops at %d" % (2 * degree, cf.order)
         )
-    levels = [None] + [cf._level(n)[(slice(k),) * n] for n in range(1, 2 * degree + 1)]
-    entries = tuple(map(tuple, _hankel(levels, k, range(1, degree + 1)).tolist()))
-    return GramMatrix(cf.alphabet[:k], degree, monomial_basis(k, degree), entries)
+    return (cf, k, monomial_basis(k, degree)) + _integer_hankel(cf, k, range(1, degree + 1))
+
+
+def gram_matrix(cf, k=None, degree=1):
+    """Assemble the Gram matrix of a cumulant functional on the first k
+    variables at the given degree.  Needs cumulants up to order 2*degree."""
+    cf, k, words, rows, scale = _cumulant_gram(cf, k, degree)
+    return GramMatrix(cf.alphabet[:k], degree, words, tuple(_over(r, scale) for r in rows))
+
+
+def _word_pairs(table, words):
+    """Names an asymmetric pair (i, j) of a cumulant Gram by its words."""
+    return lambda i, j: "Gram matrix not symmetric: kappa(%s) != kappa(%s)" % (
+        table.word_name(words[i] + words[j][::-1]),
+        table.word_name(words[j] + words[i][::-1]),
+    )
 
 
 @dataclass(frozen=True)
@@ -137,26 +162,6 @@ class PivotedDecomposition:
     @property
     def rank(self):
         return len(self.pivots)
-
-
-def _scaled_symmetric_rows(rows):
-    """(S, L, A): the rows as Fractions S, the lcm L of their denominators
-    and A = L*S as ints.  Raises StructuralError unless S is square and
-    symmetric, naming the first asymmetric pair; symmetry is checked on A,
-    where it is int equality."""
-    S = [[as_scalar(x) for x in row] for row in rows]
-    n = len(S)
-    for row in S:
-        if len(row) != n:
-            raise StructuralError("matrix is not square")
-    scale = math.lcm(*(x.denominator for row in S for x in row))
-    A = [[x.numerator * (scale // x.denominator) for x in row] for row in S]
-    for i, (row, column) in enumerate(zip(A, zip(*A))):
-        if row != list(column):
-            # earlier pairs of this row were checked with earlier rows
-            j = next(j for j in range(i + 1, n) if row[j] != column[j])
-            raise StructuralError("matrix not symmetric at (%d, %d)" % (i, j))
-    return S, scale, A
 
 
 _ZERO = Fraction(0)
@@ -186,10 +191,26 @@ def psd_certificate(rows, tolerance=0):
     integer entry (1 before the first step).  Every division by prev is
     exact, and every positive scaling keeps the pivot order and the signs,
     so pivots, basis vectors and witnesses are the same Fractions a
-    rational elimination gives.
+    rational elimination gives, whichever common denominator L is.
     """
-    _, scale, A = _scaled_symmetric_rows(rows)
+    S = [[as_scalar(x) for x in row] for row in rows]
+    if any(len(row) != len(S) for row in S):
+        raise StructuralError("matrix is not square")
+    scale = math.lcm(*(x.denominator for row in S for x in row))
+    A = [[x.numerator * (scale // x.denominator) for x in row] for row in S]
+    return _eliminate(A, scale, tolerance)
+
+
+def _eliminate(A, scale, tolerance, describe=None):
+    """``psd_certificate`` of A / scale for square int rows A, which it
+    consumes; describe(i, j) names the first asymmetric pair, if given."""
     n = len(A)
+    for i, (row, column) in enumerate(zip(A, zip(*A))):
+        if row != list(column):
+            # earlier pairs of this row were checked with earlier rows
+            j = next(j for j in range(i + 1, n) if row[j] != column[j])
+            message = describe(i, j) if describe else "matrix not symmetric at (%d, %d)" % (i, j)
+            raise StructuralError(message)
     tol = abs(as_scalar(tolerance))
     tol_scaled = tol * scale
     # A and V hold the remaining block and its combination vectors, one
@@ -341,9 +362,9 @@ class InfdivVerdict:
 
 def check_infdiv(functional, k=None, degree=1, tolerance=0):
     """Run the divisibility certificate on a moment or cumulant table."""
-    gram = gram_matrix(functional, k=k, degree=degree)
-    cert = psd_certificate(gram.row_lists(), tolerance)
-    names = [" ".join(gram.alphabet[c - 1] for c in w) for w in gram.words]
+    cf, k, words, rows, scale = _cumulant_gram(functional, k, degree)
+    cert = _eliminate(rows, scale, tolerance, _word_pairs(cf, words))
+    names = [cf.word_name(w) for w in words]
     pivot_trace = tuple((names[i], v) for i, v in cert.pivots)
     witness = None
     if cert.witness is not None:
@@ -352,9 +373,9 @@ def check_infdiv(functional, k=None, degree=1, tolerance=0):
         )
     return InfdivVerdict(
         verdict="PASS" if cert.psd else "FAIL",
-        alphabet=gram.alphabet,
+        alphabet=cf.alphabet[:k],
         degree=degree,
-        dimension=gram.dimension,
+        dimension=cert.dimension,
         rank=cert.rank,
         tolerance=abs(as_scalar(tolerance)),
         pivot_trace=pivot_trace,

@@ -32,7 +32,7 @@ from .functionals import (
     iter_words_upto,
     moments_to_cumulants,
 )
-from .infdiv import _hankel, psd_certificate
+from .infdiv import _eliminate, _integer_hankel
 from .models import (
     PoissonSpec,
     _constants_law,
@@ -354,10 +354,8 @@ def poisson_approximation(target_cf, schedule, order=None):
         base = cumulants_to_moments(dilate(target, Fraction(1, j)))
         approximants.append(compound_free_poisson_cumulants(Fraction(j), base))
         # the base's moment Gram, with phi(empty word) = 1
-        degree = order // 2
-        levels = [Fraction(1)] + [base._level(n) for n in range(1, 2 * degree + 1)]
-        gram = _hankel(levels, base.arity, range(degree + 1))
-        flags.append(psd_certificate(gram.tolist()).psd)
+        rows, scale = _integer_hankel(base, base.arity, range(order // 2 + 1))
+        flags.append(_eliminate(rows, scale, 0).psd)
     report = _build_report(
         "poisson_approximation",
         sched,

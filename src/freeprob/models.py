@@ -17,6 +17,7 @@ from .freeness import free_product
 from .functionals import (
     CumulantFunctional,
     MomentFunctional,
+    _check_order,
     _letter_levels,
     _scaled,
     as_scalar,
@@ -80,8 +81,7 @@ def semicircle_family(cov, order, names=None):
     non-vanishing cumulants sit on words of length two."""
     if not isinstance(cov, CovarianceMatrix):
         cov = CovarianceMatrix.from_rows(cov, names)
-    if order < 1:
-        raise ValidationError("order must be >= 1")
+    _check_order(order)
     zero = Fraction(0)
     table = {}
     for w in iter_words_upto(cov.size, order):
@@ -117,8 +117,7 @@ def free_poisson(rate, jump=1, order=8, name="x"):
         raise ValidationError("rate must be positive")
     if alpha == 0:
         raise ValidationError("jump must be nonzero")
-    if order < 1:
-        raise ValidationError("order must be >= 1")
+    _check_order(order)
     return compound_free_poisson(lam, _constants_law((alpha,), order, (name,)))
 
 
@@ -152,8 +151,7 @@ def projection_functional(trace, order, name="p"):
     t = as_scalar(trace)
     if not 0 <= t <= 1:
         raise ValidationError("trace must lie in [0, 1]")
-    if order < 1:
-        raise ValidationError("order must be >= 1")
+    _check_order(order)
     table = {(1,) * n: t for n in range(1, order + 1)}
     return MomentFunctional((name,), order, table)
 
@@ -202,6 +200,7 @@ def projection_family(rates, size_n, order, model, names=None):
       orthogonal  the p_i are mutually orthogonal (sum of rates <= N),
       free        the p_i are freely independent.
     """
+    _check_order(order)
     rs = tuple(as_scalar(x) for x in rates)
     if not rs or any(r <= 0 for r in rs):
         raise ValidationError("rates must be positive")
@@ -254,8 +253,7 @@ def bernoulli(trace, up=1, down=-1, order=8, name="b"):
         raise ValidationError("trace must lie in [0, 1]")
     a = as_scalar(up)
     b = as_scalar(down)
-    if order < 1:
-        raise ValidationError("order must be >= 1")
+    _check_order(order)
     table = {}
     pa, pb = Fraction(1), Fraction(1)
     for n in range(1, order + 1):

@@ -81,8 +81,9 @@ def _canonical_blocks(n, blocks):
             seen.add(x)
         canon.append(b)
     if len(seen) != n:
-        missing = sorted(set(range(1, n + 1)) - seen)
-        raise StructuralError("not a partition of 1..%d, missing %r" % (n, missing))
+        first = next(x for x in range(1, n + 1) if x not in seen)  # <= len(seen) + 1 steps
+        message = "not a partition of 1..%d: %d missing, the first %d"
+        raise StructuralError(message % (n, n - len(seen), first))
     canon.sort(key=lambda b: b[0])
     return tuple(canon)
 

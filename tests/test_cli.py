@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 import warnings
 from fractions import Fraction as F
 from pathlib import Path
@@ -19,6 +20,7 @@ from freeprob.functionals import (
     CumulantFunctional,
     MomentFunctional,
     cumulants_to_moments,
+    iter_words_upto,
     moments_to_cumulants,
 )
 from freeprob.jsonio import (
@@ -137,6 +139,36 @@ def test_nc_mobius_table_checks_the_listing_before_building_one_n(capsys, monkey
     assert err.splitlines() == [
         "error: listing may exceed the cap of 9694845 partitions, |NC(15)|"
     ]
+
+
+def test_nc_mobius_of_a_partition_missing_almost_every_element(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "nc", "mobius", "1000000000", "--pi", "1")
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        "error: not a partition of 1..1000000000: 999999999 missing, the first 2"
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["model", "semicircle", "--order", "33"],
+        ["model", "semicircle", "--order", "65"],
+        ["model", "semicircle", "--order", "100000000"],
+        ["limit", "poisson", "--spec", "SPEC", "--order", "65"],
+    ],
+)
+def test_orders_past_the_word_table_maximum_end_in_one_error_line(tmp_path, capsys, argv):
+    spec = tmp_path / "spec.json"
+    spec.write_text("{}")
+    argv = [str(spec) if arg == "SPEC" else arg for arg in argv]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: order must be in 1..32, got %s" % argv[-1]]
 
 
 def test_nc_enumerate_count_only_checks_without_listing(capsys, monkeypatch):
@@ -364,6 +396,13 @@ def test_infdiv_check(tmp_path, capsys):
     jsonschema.validate(payload, load_schema("infdiv_verdict"))
     assert payload["verdict"] == "FAIL"
 
+    for degree in ("0", "-1"):
+        code, out, err = run_cli(
+            capsys, "infdiv", "check", "--in", str(ok_path), "--degree", degree
+        )
+        assert code == 1 and out == ""
+        assert err.splitlines() == ["error: degree must be >= 1"]
+
 
 def test_fock_verify(tmp_path, capsys):
     path = tmp_path / "sc.json"
@@ -450,6 +489,22 @@ def test_fock_verify_refuses_a_law_outside_the_float_range(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and "Gram pivot at x x" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_asymmetric_table_is_refused_by_its_words(tmp_path, capsys):
+    # moments constant on each length, except phi(x x y) != phi(y x x)
+    table = {w: F(len(w), 2) for w in iter_words_upto(2, 5)}
+    table[(1, 1, 2)] = F(7)
+    path = tmp_path / "asym.json"
+    write_functional(path, MomentFunctional(("x", "y"), 5, table))
+    message = "error: Gram matrix not symmetric: kappa(x x y) != kappa(y x x)"
+    for argv in (
+        ["infdiv", "check", "--in", str(path), "--degree", "2"],
+        ["fock", "verify", "--in", str(path), "--order", "2"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.splitlines() == [message]
 
 
 # -- approx -----------------------------------------------------------------

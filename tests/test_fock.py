@@ -33,6 +33,7 @@ from freeprob.functionals import (
     cumulants_to_moments,
     moments_to_cumulants,
 )
+from freeprob.infdiv import gram_matrix
 from freeprob.models import (
     compound_free_poisson_cumulants,
     free_poisson,
@@ -84,7 +85,8 @@ def test_poly_space_orthonormal_basis():
     ps = PolySpace(pair_cf(5), 2)
     assert ps.dim == 2
     assert ps.kernel_dim == 4
-    gram_f = np.array([[float(x) for x in row] for row in ps.gram.entries])
+    gram = gram_matrix(ps.cf, ps.arity, ps.d_H)
+    gram_f = np.array([[float(x) for x in row] for row in gram.entries])
     eye = ps.basis @ gram_f @ ps.basis.T
     assert np.abs(eye - np.eye(2)).max() < 1e-12
 
@@ -567,7 +569,8 @@ def oracle_poly_tables(ps):
     float(kappa(...)) per entry."""
     kappa = ps.cf.cumulant
     n_mono = len(ps.monomials)
-    gram_f = np.array([[float(x) for x in row] for row in ps.gram.entries])
+    gram = gram_matrix(ps.cf, ps.arity, ps.d_H)
+    gram_f = np.array([[float(x) for x in row] for row in gram.entries])
     embeddings, tables = [], []
     for i in range(1, ps.arity + 1):
         row = gram_f[ps.monomials.index((i,))]

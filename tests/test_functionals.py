@@ -721,11 +721,17 @@ rationals = st.builds(F, st.integers(-9, 9), st.sampled_from(COPRIME))
 nonzero = rationals.filter(bool)
 
 
+def word_level(t, n):
+    """Level n from the per-word values, shape (k,)*n in word order."""
+    values = [t._values[w] for w in iter_words(t.arity, n)]
+    return np.array(values, dtype=object).reshape((t.arity,) * n)
+
+
 def assert_graded(t):
     """Stored form: level n is a read-only integer array of shape (k,)*n
     over the lcm of its entries' reduced denominators."""
     for n in range(1, t.order + 1):
-        values = t._level(n)
+        values = word_level(t, n)
         assert values.shape == t._nums[n].shape == (t.arity,) * n
         assert all(type(v) is F for v in values.flat)
         assert t._dens[n] == math.lcm(*(v.denominator for v in values.flat))
@@ -741,8 +747,8 @@ def assert_same(got, want):
     assert [w for w, _ in got.items()] == list(iter_words_upto(got.arity, got.order))
     assert len(got._table) == len(want._table) == len(list(want.items()))
     for n in range(1, got.order + 1):
-        assert np.array_equal(got._level(n), want._level(n))
-        assert np.array_equal(got._float_level(n), want._level(n).astype(float))
+        assert np.array_equal(word_level(got, n), word_level(want, n))
+        assert np.array_equal(got._float_level(n), word_level(want, n).astype(float))
 
 
 @settings(max_examples=40, deadline=None)

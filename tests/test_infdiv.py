@@ -1,8 +1,10 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,12 +17,12 @@ from freeprob.functionals import (
     cumulants_to_moments,
     moments_to_cumulants,
 )
-from freeprob.fock import DEFAULT_PIVOT_TOLERANCE
-from freeprob.functionals import as_scalar
+from freeprob.fock import DEFAULT_PIVOT_TOLERANCE, PolySpace
+from freeprob.functionals import as_scalar, iter_words, iter_words_upto
 from freeprob.infdiv import (
     GramMatrix,
+    InfdivVerdict,
     PivotedDecomposition,
-    _scaled_symmetric_rows,
     check_infdiv,
     gram_matrix,
     is_psd,
@@ -28,6 +30,7 @@ from freeprob.infdiv import (
     monomial_basis,
     psd_certificate,
 )
+from freeprob.limits import dilate, poisson_approximation
 from freeprob.models import (
     bernoulli,
     compound_free_poisson,
@@ -226,7 +229,10 @@ def test_kappa_checks_flag_nontracial_table():
 
 def _as_symmetric_rows(rows):
     """The rows as Fractions, checked square and symmetric."""
-    return _scaled_symmetric_rows(rows)[0]
+    S = [[as_scalar(x) for x in row] for row in rows]
+    assert all(len(row) == len(S) for row in S)
+    assert S == [list(column) for column in zip(*S)]
+    return S
 
 
 def rational_psd_certificate(rows, tolerance=0):
@@ -499,3 +505,108 @@ def test_asymmetric_matrix_names_its_first_pair():
                 psd_certificate(rows)
     with pytest.raises(StructuralError, match="not square"):
         psd_certificate([[1, 2], [2]])
+
+
+def asymmetric_law(order, word):
+    """Moments constant on each length, so tracial and reversal-symmetric,
+    except at ``word``, whose reversal keeps the constant."""
+    table = {w: F(len(w), 2) for w in iter_words_upto(2, order)}
+    table[word] = F(7)
+    return MomentFunctional(("x", "y"), order, table)
+
+
+def test_asymmetric_table_names_the_two_words():
+    # entry (0, 1) of the degree-2 Gram reads kappa(x y), its mirror kappa(y x)
+    message = r"^Gram matrix not symmetric: kappa\(x y\) != kappa\(y x\)$"
+    with pytest.raises(StructuralError, match=message):
+        check_infdiv(asymmetric_law(4, (1, 2)), degree=2)
+    # first in row order: (x) against the reversal of (y x)
+    message = r"^Gram matrix not symmetric: kappa\(x x y\) != kappa\(y x x\)$"
+    law = asymmetric_law(5, (1, 1, 2))
+    with pytest.raises(StructuralError, match=message):
+        check_infdiv(law, degree=2)
+    with pytest.raises(StructuralError, match=message):
+        PolySpace(moments_to_cumulants(law), 2)
+
+
+# -- the integer Gram path against Grams built one entry at a time -------------
+
+COPRIME_BY_LENGTH = (2, 3, 5, 7, 11)
+
+
+@st.composite
+def coprime_tables(draw):
+    """(k, order, table): k in 1..3, a reversal-symmetric table whose
+    lengths have pairwise-coprime denominators, with zero entries and,
+    with probability 1/4, an all-zero level."""
+    k = draw(st.integers(1, 3))
+    order = draw(st.integers(2, 4 if k == 3 else 5))
+    primes = draw(st.permutations(COPRIME_BY_LENGTH))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    table = {}
+    for n in range(1, order + 1):
+        zero = rng.random() < 0.25
+        for w in iter_words(k, n):
+            value = 0 if zero else F(rng.randint(-3, 3), primes[n - 1])
+            table[w] = table.get(w[::-1], value)
+    return k, order, table
+
+
+def per_entry_gram(value, words):
+    return [[value(u + v[::-1]) for v in words] for u in words]
+
+
+def verdict_from(cert, cf, k, degree, tolerance):
+    names = [cf.word_name(w) for w in monomial_basis(k, degree)]
+    witness = None
+    if cert.witness is not None:
+        witness = tuple((names[i], c) for i, c in enumerate(cert.witness) if c)
+    return InfdivVerdict(
+        verdict="PASS" if cert.psd else "FAIL",
+        alphabet=cf.alphabet[:k],
+        degree=degree,
+        dimension=cert.dimension,
+        rank=cert.rank,
+        tolerance=abs(F(tolerance)),
+        pivot_trace=tuple((names[i], v) for i, v in cert.pivots),
+        witness=witness,
+        witness_value=cert.witness_value,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(coprime_tables(), st.booleans(), st.sampled_from((0, F(1, 10))))
+def test_integer_gram_path_matches_per_entry_grams_property(drawn, moments, tolerance):
+    k, order, table = drawn
+    given_table = (MomentFunctional if moments else CumulantFunctional)(
+        ("x", "y", "z")[:k], order, table
+    )
+    cf = moments_to_cumulants(given_table) if moments else given_table
+    degree = order // 2
+    for vars_ in range(1, k + 1):
+        gram = per_entry_gram(cf.cumulant, monomial_basis(vars_, degree))
+        want = verdict_from(psd_certificate(gram, tolerance), cf, vars_, degree, tolerance)
+        assert check_infdiv(given_table, vars_, degree, tolerance) == want
+    d_H = (order - 1) // 2
+    if d_H:
+        gram = per_entry_gram(cf.cumulant, monomial_basis(k, d_H))
+        cert = psd_certificate(gram, DEFAULT_PIVOT_TOLERANCE)
+        if cert.psd:
+            ps = PolySpace(cf, d_H)
+            assert ps.pivot_values == tuple(v for _, v in cert.pivots)
+            basis = [
+                np.array(vector, dtype=float) * (1.0 / math.sqrt(float(v)))
+                for _, vector, v in cert.basis
+            ]
+            assert np.array_equal(ps.basis, np.array(basis).reshape(ps.basis.shape))
+        else:
+            with pytest.raises(ValidationError, match="not positive semidefinite"):
+                PolySpace(cf, d_H)
+    # the base moment Grams with phi(empty word) = 1
+    schedule = (1, 3)
+    words = ((),) + tuple(iter_words_upto(k, order // 2))
+    flags = tuple(
+        psd_certificate(per_entry_gram(base.moment, words)).psd
+        for base in (cumulants_to_moments(dilate(cf, F(1, j))) for j in schedule)
+    )
+    assert poisson_approximation(cf, schedule).base_gram_psd == flags

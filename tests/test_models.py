@@ -5,10 +5,12 @@ import pytest
 from freeprob.errors import StructuralError, ValidationError
 from freeprob.freeness import check_freeness, free_product
 from freeprob.functionals import (
+    MAX_ORDER,
     MomentFunctional,
     iter_words_upto,
     moments_to_cumulants,
 )
+from freeprob.limits import poisson_limit_check
 from freeprob.models import (
     CovarianceMatrix,
     PoissonSpec,
@@ -231,3 +233,28 @@ def test_sandwich_is_compound_poisson_when_cov_is_flat():
     got = sandwich_cumulants(cov, base, 4)
     want = compound_free_poisson_cumulants(F(1), base)
     assert got == want.relabel(got.alphabet)
+
+
+@pytest.mark.parametrize("order", [33, 65, 10**8])
+def test_orders_past_numpy_axis_limit_are_refused_before_any_word(order):
+    # a level of length n is an array with n axes; numpy iterates at most 32
+    assert MAX_ORDER == 32
+    message = r"^order must be in 1\.\.32, got %d$" % order
+    constructors = [
+        lambda: semicircle(order=order),
+        lambda: semicircle_family([[1, 0], [0, 1]], order),
+        lambda: free_poisson(1, 1, order),
+        lambda: projection_functional(F(1, 2), order),
+        lambda: projection_family([1, 2], 4, order, "free"),
+        lambda: bernoulli(F(1, 2), order=order),
+        lambda: poisson_limit_check(1, 1, [10], order),
+    ]
+    for build in constructors:
+        with pytest.raises(ValidationError, match=message):
+            build()
+
+
+def test_the_largest_order_still_builds():
+    law = semicircle(order=MAX_ORDER)
+    assert law.moment((1,) * 32) == 35357670  # the Catalan number C_16
+    assert moments_to_cumulants(law).cumulant((1, 1)) == 1

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from functools import lru_cache
 
 import pytest
@@ -472,3 +473,15 @@ def test_extremes_of_nc_zero_and_negative_orders():
     for make in (singletons, full, lambda n: NcPartition(n, ())):
         with pytest.raises(DomainError, match=">= 0"):
             make(-2)
+
+
+def test_a_partition_missing_almost_every_element_is_refused_at_once():
+    message = r"^not a partition of 1\.\.1000000000: 999999999 missing, the first 2$"
+    start = time.perf_counter()
+    with pytest.raises(StructuralError, match=message):
+        NcPartition(10**9, [[1]])
+    assert time.perf_counter() - start < 1
+    with pytest.raises(StructuralError, match=r": 1 missing, the first 3$"):
+        NcPartition(5, [[1, 4], [2], [5]])
+    with pytest.raises(StructuralError, match=r": 2 missing, the first 2$"):
+        NcPartition(5, [[1, 4], [5]])
