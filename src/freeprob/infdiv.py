@@ -123,7 +123,8 @@ def _cumulant_gram(cf, k, degree):
         raise ValidationError(
             "need cumulants to order %d, table stops at %d" % (2 * degree, cf.order)
         )
-    return (cf, k, monomial_basis(k, degree)) + _integer_hankel(cf, k, range(1, degree + 1))
+    words = monomial_basis(k, degree)
+    return (cf, k, words) + _integer_hankel(cf, k, range(1, degree + 1))
 
 
 def gram_matrix(cf, k=None, degree=1):
