@@ -1,11 +1,19 @@
 """Exact computations with moments, free cumulants and the non-crossing
 partition lattice, plus Fock-space realizations of the associated
-processes.  All lattice and transform arithmetic is over Fraction.
+processes.  Word tables and transforms work on graded integers, one
+integer array per word level over one denominator, and hand out their
+values as Fraction; lattice sums and PSD certificates are exact as well.
 Floating point appears only in the Fock module, whose operators keep
 float one-particle data and act on float state vectors level by level
 (a dense matrix is built only on request), and in the fitted decay
 exponents of convergence reports, which are diagnostics.
+
+Only the exceptions are imported with the package.  Every other public
+name is imported from its layer on first use (PEP 562) and then kept as
+a plain attribute, so a program pays only for the layers it touches.
 """
+
+import importlib
 
 from .errors import (
     CapacityError,
@@ -15,85 +23,90 @@ from .errors import (
     StructuralError,
     ValidationError,
 )
-from .partitions import (
-    NcPartition,
-    catalan_number,
-    enumerate_nc,
-    full,
-    interval,
-    is_noncrossing,
-    join,
-    leq,
-    meet,
-    mobius,
-    singletons,
-)
-from .functionals import (
-    CumulantFunctional,
-    MomentFunctional,
-    as_scalar,
-    block_cumulant_product,
-    block_moment_product,
-    cumulant_mobius_sum,
-    cumulants_to_moments,
-    moment_lattice_sum,
-    moments_to_cumulants,
-)
-from .freeness import FreenessReport, check_freeness, free_product
-from .models import (
-    CovarianceMatrix,
-    PoissonSpec,
-    bernoulli,
-    compound_free_poisson,
-    compound_free_poisson_cumulants,
-    free_poisson,
-    projection_family,
-    projection_functional,
-    sandwich_cumulants,
-    semicircle,
-    semicircle_family,
-)
-from .limits import (
-    ConvergenceReport,
-    PoissonApproximation,
-    array_cumulants,
-    compound_limit_check,
-    dilate,
-    free_sum_moments,
-    multi_poisson_limit_check,
-    poisson_approximation,
-    poisson_limit_check,
-    sequence_limit_check,
-)
-from .infdiv import (
-    GramMatrix,
-    InfdivVerdict,
-    check_infdiv,
-    gram_matrix,
-    is_psd,
-    kappa_functional_checks,
-    monomial_basis,
-    psd_certificate,
-)
-from .fock import (
-    FockModel,
-    FockOperator,
-    LevyReport,
-    PolySpace,
-    TimeComponent,
-    build_fock_model,
-    build_poly_space,
-    verify_levy_axioms,
-)
-from .dsl import Session, evaluate, parse, pretty, run_source
-from .jsonio import (
-    functional_from_dict,
-    functional_to_dict,
-    read_functional,
-    write_functional,
-)
 
 __version__ = "0.1.0"
+
+# the layer each lazily imported public name lives in, in __all__ order
+_LAYERS = {
+    "partitions": (
+        "NcPartition",
+        "catalan_number",
+        "enumerate_nc",
+        "full",
+        "interval",
+        "is_noncrossing",
+        "join",
+        "leq",
+        "meet",
+        "mobius",
+        "singletons",
+    ),
+    "functionals": (
+        "CumulantFunctional",
+        "MomentFunctional",
+        "as_scalar",
+        "block_cumulant_product",
+        "block_moment_product",
+        "cumulant_mobius_sum",
+        "cumulants_to_moments",
+        "moment_lattice_sum",
+        "moments_to_cumulants",
+    ),
+    "freeness": ("FreenessReport", "check_freeness", "free_product"),
+    "models": (
+        "CovarianceMatrix",
+        "PoissonSpec",
+        "bernoulli",
+        "compound_free_poisson",
+        "compound_free_poisson_cumulants",
+        "free_poisson",
+        "projection_family",
+        "projection_functional",
+        "sandwich_cumulants",
+        "semicircle",
+        "semicircle_family",
+    ),
+    "limits": (
+        "ConvergenceReport",
+        "PoissonApproximation",
+        "array_cumulants",
+        "compound_limit_check",
+        "dilate",
+        "free_sum_moments",
+        "multi_poisson_limit_check",
+        "poisson_approximation",
+        "poisson_limit_check",
+        "sequence_limit_check",
+    ),
+    "infdiv": (
+        "GramMatrix",
+        "InfdivVerdict",
+        "check_infdiv",
+        "gram_matrix",
+        "is_psd",
+        "kappa_functional_checks",
+        "monomial_basis",
+        "psd_certificate",
+    ),
+    "fock": (
+        "FockModel",
+        "FockOperator",
+        "LevyReport",
+        "PolySpace",
+        "TimeComponent",
+        "build_fock_model",
+        "build_poly_space",
+        "verify_levy_axioms",
+    ),
+    "dsl": ("Session", "evaluate", "parse", "pretty", "run_source"),
+    "jsonio": (
+        "functional_from_dict",
+        "functional_to_dict",
+        "read_functional",
+        "write_functional",
+    ),
+}
+_HOME = {name: layer for layer, names in _LAYERS.items() for name in names}
 
 __all__ = [
     "CapacityError",
@@ -102,73 +115,19 @@ __all__ = [
     "ParseError",
     "StructuralError",
     "ValidationError",
-    "NcPartition",
-    "catalan_number",
-    "enumerate_nc",
-    "full",
-    "interval",
-    "is_noncrossing",
-    "join",
-    "leq",
-    "meet",
-    "mobius",
-    "singletons",
-    "CumulantFunctional",
-    "MomentFunctional",
-    "as_scalar",
-    "block_cumulant_product",
-    "block_moment_product",
-    "cumulant_mobius_sum",
-    "cumulants_to_moments",
-    "moment_lattice_sum",
-    "moments_to_cumulants",
-    "FreenessReport",
-    "check_freeness",
-    "free_product",
-    "CovarianceMatrix",
-    "PoissonSpec",
-    "bernoulli",
-    "compound_free_poisson",
-    "compound_free_poisson_cumulants",
-    "free_poisson",
-    "projection_family",
-    "projection_functional",
-    "sandwich_cumulants",
-    "semicircle",
-    "semicircle_family",
-    "ConvergenceReport",
-    "PoissonApproximation",
-    "array_cumulants",
-    "compound_limit_check",
-    "dilate",
-    "free_sum_moments",
-    "multi_poisson_limit_check",
-    "poisson_approximation",
-    "poisson_limit_check",
-    "sequence_limit_check",
-    "GramMatrix",
-    "InfdivVerdict",
-    "check_infdiv",
-    "gram_matrix",
-    "is_psd",
-    "kappa_functional_checks",
-    "monomial_basis",
-    "psd_certificate",
-    "FockModel",
-    "FockOperator",
-    "LevyReport",
-    "PolySpace",
-    "TimeComponent",
-    "build_fock_model",
-    "build_poly_space",
-    "verify_levy_axioms",
-    "Session",
-    "evaluate",
-    "parse",
-    "pretty",
-    "run_source",
-    "functional_from_dict",
-    "functional_to_dict",
-    "read_functional",
-    "write_functional",
+    *_HOME,
 ]
+
+
+def __getattr__(name):
+    # read from the layer at first use, never from a table built here, so
+    # a function rebound in its layer before then is the one handed out
+    if name not in _HOME:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(importlib.import_module("." + _HOME[name], __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

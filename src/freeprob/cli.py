@@ -25,16 +25,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .dsl import Session, run_source
 from .errors import FreeprobError, ParseError, ValidationError
-from .fock import build_fock_model, levy_n_max, verify_levy_axioms
-from .functionals import (
-    CumulantFunctional,
-    MomentFunctional,
-    cumulants_to_moments,
-    moments_to_cumulants,
-)
-from .infdiv import check_infdiv
 from .jsonio import (
     dumps_canonical,
     functional_from_dict,
@@ -42,21 +33,6 @@ from .jsonio import (
     read_functional,
     read_json,
     write_functional,
-)
-from .limits import (
-    compound_limit_check,
-    multi_poisson_limit_check,
-    poisson_approximation,
-    poisson_limit_check,
-)
-from .models import (
-    PoissonSpec,
-    bernoulli,
-    compound_free_poisson,
-    free_poisson,
-    projection_functional,
-    semicircle,
-    semicircle_family,
 )
 from .partitions import (
     NcPartition,
@@ -126,6 +102,8 @@ def _emit_json(payload):
 
 
 def _print_functional(table):
+    from .functionals import CumulantFunctional
+
     kind = "kappa" if isinstance(table, CumulantFunctional) else "phi"
     lines = [
         "functional on %s, order %d"
@@ -204,6 +182,13 @@ def _cmd_nc_mobius(args):
 
 
 def _cmd_transform(args):
+    from .functionals import (
+        CumulantFunctional,
+        MomentFunctional,
+        cumulants_to_moments,
+        moments_to_cumulants,
+    )
+
     table = read_functional(args.infile)
     if args.direction == "m2c":
         if not isinstance(table, MomentFunctional):
@@ -221,6 +206,16 @@ def _cmd_transform(args):
 
 
 def _cmd_model(args):
+    from .functionals import MomentFunctional
+    from .models import (
+        bernoulli,
+        compound_free_poisson,
+        free_poisson,
+        projection_functional,
+        semicircle,
+        semicircle_family,
+    )
+
     ctor = args.ctor
     if ctor == "semicircle":
         table = semicircle(args.radius, args.order, name=args.name or "s")
@@ -282,6 +277,14 @@ def _spec_list(spec, key, required=True):
 
 
 def _cmd_limit(args):
+    from .functionals import MomentFunctional
+    from .limits import (
+        compound_limit_check,
+        multi_poisson_limit_check,
+        poisson_limit_check,
+    )
+    from .models import PoissonSpec
+
     spec = read_json(args.spec)
     if not isinstance(spec, dict):
         raise ParseError("limit spec must be a JSON object")
@@ -339,6 +342,8 @@ def _infdiv_text(v):
 
 
 def _cmd_infdiv(args):
+    from .infdiv import check_infdiv
+
     table = read_functional(args.infile)
     verdict = check_infdiv(
         table, k=args.vars, degree=args.degree, tolerance=args.tolerance
@@ -354,6 +359,8 @@ def _cmd_infdiv(args):
 
 
 def _read_cumulants(path):
+    from .functionals import MomentFunctional, moments_to_cumulants
+
     table = read_functional(path)
     if isinstance(table, MomentFunctional):
         return moments_to_cumulants(table)
@@ -361,6 +368,10 @@ def _read_cumulants(path):
 
 
 def _cmd_fock(args):
+    from .fock import build_fock_model, levy_n_max, verify_levy_axioms
+
+    if args.order < 1:
+        raise ValidationError("order must be >= 1, got %d" % args.order)
     cf = _read_cumulants(args.infile)
     need = 2 * args.order + 1
     if cf.order < need:
@@ -381,6 +392,8 @@ def _cmd_fock(args):
 
 
 def _cmd_approx(args):
+    from .limits import poisson_approximation
+
     cf = _read_cumulants(args.target)
     result = poisson_approximation(cf, args.j, order=args.order)
     if args.json:
@@ -404,6 +417,8 @@ def _cmd_approx(args):
 
 
 def _cmd_run(args):
+    from .dsl import Session, run_source
+
     if args.script == "-":
         source = sys.stdin.read()
     else:

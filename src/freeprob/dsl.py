@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FreeprobError, ParseError, ValidationError
-from .fock import build_fock_model, levy_n_max, verify_levy_axioms
 from .freeness import free_product
 from .functionals import MomentFunctional, moments_to_cumulants
 from .infdiv import check_infdiv
@@ -868,6 +867,8 @@ class Session:
                 "infdiv %s at degree %d" % (verdict.verdict, degree),
             )
         if stmt.kind == "levy_check":
+            from .fock import build_fock_model, levy_n_max, verify_levy_axioms
+
             params = _positional_names(stmt.args, ("order",), "levy_check")
             order = min(3, self.order)
             if "order" in params:

@@ -134,10 +134,12 @@ def gram_matrix(cf, k=None, degree=1):
     return GramMatrix(cf.alphabet[:k], degree, words, tuple(_over(r, scale) for r in rows))
 
 
-def _word_pairs(table, words):
-    """Names an asymmetric pair (i, j) of a cumulant Gram by its words."""
-    return lambda i, j: "Gram matrix not symmetric: kappa(%s) != kappa(%s)" % (
+def _word_pairs(table, words, f="kappa"):
+    """Names an asymmetric pair (i, j) of a Gram of f by its words."""
+    return lambda i, j: "Gram matrix not symmetric: %s(%s) != %s(%s)" % (
+        f,
         table.word_name(words[i] + words[j][::-1]),
+        f,
         table.word_name(words[j] + words[i][::-1]),
     )
 

@@ -22,10 +22,8 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from importlib import resources
 
 from .errors import ParseError
-from .functionals import CumulantFunctional, MomentFunctional
 
 FORMAT_TAG = "freeprob.functional"
 
@@ -33,13 +31,12 @@ FORMAT_TAG = "freeprob.functional"
 # decimal strings
 _RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
-_KINDS = {
-    "moments": MomentFunctional,
-    "cumulants": CumulantFunctional,
-}
+_KINDS = ("cumulants", "moments")
 
 
 def kind_of(table):
+    from .functionals import CumulantFunctional, MomentFunctional
+
     if isinstance(table, MomentFunctional):
         return "moments"
     if isinstance(table, CumulantFunctional):
@@ -74,7 +71,7 @@ def functional_from_dict(data):
         _fail("missing format tag %r" % FORMAT_TAG)
     kind = data.get("kind")
     if not isinstance(kind, str) or kind not in _KINDS:
-        _fail("kind must be one of %s" % ", ".join(sorted(_KINDS)))
+        _fail("kind must be one of %s" % ", ".join(_KINDS))
     names = data.get("vars")
     if not isinstance(names, list) or not names:
         _fail("vars must be a non-empty list")
@@ -108,8 +105,11 @@ def functional_from_dict(data):
             table[word] = Fraction(value)
         except ZeroDivisionError:
             _fail("value %r for %r is not a rational" % (value, key))
+    from .functionals import CumulantFunctional, MomentFunctional
+
+    cls = MomentFunctional if kind == "moments" else CumulantFunctional
     try:
-        return _KINDS[kind](tuple(names), order, table)
+        return cls(tuple(names), order, table)
     except Exception as exc:
         _fail(str(exc))
 
@@ -147,6 +147,8 @@ def write_functional(path, table):
 def load_schema(name):
     """One of the shipped JSON schemas, by stem: functional,
     convergence_report, infdiv_verdict, levy_report."""
+    from importlib import resources
+
     ref = resources.files("freeprob").joinpath("schemas", name + ".schema.json")
     with ref.open("r", encoding="utf-8") as fh:
         return json.load(fh)

@@ -32,7 +32,7 @@ from .functionals import (
     iter_words_upto,
     moments_to_cumulants,
 )
-from .infdiv import _eliminate, _integer_hankel
+from .infdiv import _eliminate, _integer_hankel, _word_pairs
 from .models import (
     PoissonSpec,
     _constants_law,
@@ -350,12 +350,13 @@ def poisson_approximation(target_cf, schedule, order=None):
     target = target_cf.truncate(order)
     approximants = []
     flags = []
+    words = ((),) + tuple(iter_words_upto(target.arity, order // 2))
     for j in sched:
         base = cumulants_to_moments(dilate(target, Fraction(1, j)))
         approximants.append(compound_free_poisson_cumulants(Fraction(j), base))
         # the base's moment Gram, with phi(empty word) = 1
         rows, scale = _integer_hankel(base, base.arity, range(order // 2 + 1))
-        flags.append(_eliminate(rows, scale, 0).psd)
+        flags.append(_eliminate(rows, scale, 0, _word_pairs(base, words, "phi")).psd)
     report = _build_report(
         "poisson_approximation",
         sched,

@@ -425,6 +425,15 @@ def test_fock_verify(tmp_path, capsys):
     assert "order" in err
 
 
+def test_fock_verify_refuses_an_order_below_one_by_its_name(tmp_path, capsys):
+    path = tmp_path / "sc.json"
+    run_cli(capsys, "model", "semicircle", "--order", "5", "--out", str(path))
+    for order in ("0", "-1"):
+        code, out, err = run_cli(capsys, "fock", "verify", "--in", str(path), "--order", order)
+        assert code == 1 and out == ""
+        assert err.splitlines() == ["error: order must be >= 1, got %s" % order]
+
+
 def test_fock_verify_builds_only_the_particles_it_reads(tmp_path, capsys):
     # compound free Poisson law, rate 3, over the tracial state of two 4 x 4
     # matrices: poly dimension 16, so a model at n_max = order = 4 exceeds
@@ -544,6 +553,18 @@ def test_approx_notes_a_base_that_is_no_state(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "approx", "--target", str(target), "--j", "1,2,4")
     assert code == 0
     assert "note: base law not positive at j = 1, 2, 4" in out
+
+
+def test_approx_names_an_asymmetric_base_by_its_words(tmp_path, capsys):
+    # phi(x y) = 7 and phi(y x) = 2: the base's moment Gram pairs the empty
+    # word with x y, a Gram the user never sees by its indices
+    table = {w: F(len(w)) for w in iter_words_upto(2, 4)}
+    table[(1, 2)] = F(7)
+    target = tmp_path / "t.json"
+    write_functional(target, moments_to_cumulants(MomentFunctional(("x", "y"), 4, table)))
+    code, out, err = run_cli(capsys, "approx", "--target", str(target), "--j", "1,2")
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: Gram matrix not symmetric: phi(y x) != phi(x y)"]
 
 
 # -- run --------------------------------------------------------------------

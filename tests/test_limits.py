@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from freeprob.errors import StructuralError, ValidationError
 from freeprob.functionals import (
     CumulantFunctional,
+    MomentFunctional,
     cumulants_to_moments,
+    iter_words_upto,
     moments_to_cumulants,
 )
 from freeprob.limits import (
@@ -180,6 +182,17 @@ def test_poisson_approximation_flags_nonpositive_base():
         poisson_approximation(target, [])
     with pytest.raises(ValidationError):
         poisson_approximation(target, [1], order=9)
+
+
+def test_poisson_approximation_names_an_asymmetric_base_by_its_words():
+    # every moment equal to its length except phi(x y) = 7: the base at j = 1
+    # is the target's law, whose moment Gram pairs the empty word with x y
+    table = {w: F(len(w)) for w in iter_words_upto(2, 4)}
+    table[(1, 2)] = F(7)
+    target = moments_to_cumulants(MomentFunctional(("x", "y"), 4, table))
+    message = r"^Gram matrix not symmetric: phi\(y x\) != phi\(x y\)$"
+    with pytest.raises(StructuralError, match=message):
+        poisson_approximation(target, [1, 2])
 
 
 # -- the projection route the compound route replaced, kept as its oracle
