@@ -25,7 +25,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .errors import FreeprobError, ParseError, ValidationError
+from .errors import FreeprobError, ParseError
 from .jsonio import (
     dumps_canonical,
     functional_from_dict,
@@ -93,6 +93,25 @@ def _partition(text):
     return blocks
 
 
+# The constructors of `model` and of a session's `let`, in this order: the
+# `models` function, by name, so that building the parser imports no numpy
+# and a call finds the function bound at call time; the name of its one
+# variable (None: it binds several); and each rational parameter as its
+# CLI flag, its session keyword and its default.
+CONSTRUCTORS = {
+    "semicircle": ("semicircle", "s", (("radius", "radius", "2"),)),
+    "semicircle_family": ("semicircle_family", None, ()),
+    "free_poisson": ("free_poisson", "x", (("rate", "lambda", "1"), ("jump", "alpha", "1"))),
+    "compound_free_poisson": ("compound_free_poisson", None, (("rate", "lambda", "1"),)),
+    "projection": ("projection_functional", "p", (("trace", "t", "1/2"),)),
+    "bernoulli": (
+        "bernoulli",
+        "b",
+        (("trace", "t", "1/2"), ("up", "alpha", "1"), ("down", "beta", "-1")),
+    ),
+}
+
+
 def _emit(text):
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
@@ -123,6 +142,14 @@ def _deliver_functional(table, args):
         _emit("wrote %d entries to %s" % (sum(1 for _ in table.words()), args.out))
     else:
         _print_functional(table)
+
+
+def _report(report, args):
+    if args.json:
+        _emit_json(report.to_json_dict())
+    else:
+        _emit(report.to_text())
+    return 0
 
 
 # -- nc ---------------------------------------------------------------------
@@ -206,36 +233,20 @@ def _cmd_transform(args):
 
 
 def _cmd_model(args):
+    from . import models
     from .functionals import MomentFunctional
-    from .models import (
-        bernoulli,
-        compound_free_poisson,
-        free_poisson,
-        projection_functional,
-        semicircle,
-        semicircle_family,
-    )
 
-    ctor = args.ctor
-    if ctor == "semicircle":
-        table = semicircle(args.radius, args.order, name=args.name or "s")
-    elif ctor == "semicircle_family":
-        table = semicircle_family(args.cov, args.order, names=args.names)
-    elif ctor == "free_poisson":
-        table = free_poisson(args.rate, args.jump, args.order, name=args.name or "x")
-    elif ctor == "compound_free_poisson":
+    fn, var, params = CONSTRUCTORS[args.ctor]
+    values = [getattr(args, flag) for flag, _, _ in params]
+    if args.ctor == "semicircle_family":
+        table = models.semicircle_family(args.cov, args.order, names=args.names)
+    elif args.ctor == "compound_free_poisson":
         base = read_functional(args.base)
         if not isinstance(base, MomentFunctional):
             raise ParseError("--base must be a file of kind 'moments'")
-        table = compound_free_poisson(args.rate, base, args.order)
-    elif ctor == "projection":
-        table = projection_functional(args.trace, args.order, name=args.name or "p")
-    elif ctor == "bernoulli":
-        table = bernoulli(
-            args.trace, args.up, args.down, args.order, name=args.name or "b"
-        )
+        table = models.compound_free_poisson(*values, base, args.order)
     else:
-        raise ParseError("unknown constructor %r" % ctor)
+        table = getattr(models, fn)(*values, args.order, name=args.name or var)
     _deliver_functional(table, args)
     return 0
 
@@ -288,6 +299,9 @@ def _cmd_limit(args):
     spec = read_json(args.spec)
     if not isinstance(spec, dict):
         raise ParseError("limit spec must be a JSON object")
+    model = spec.get("model")
+    if args.kind != "poisson" and not isinstance(model, str):
+        raise ParseError("limit spec is missing the coupling 'model'")
     if args.kind == "poisson":
         report = poisson_limit_check(
             _spec_scalar(spec, "rate", Fraction(1)),
@@ -299,14 +313,8 @@ def _cmd_limit(args):
         ps = PoissonSpec.of(
             _spec_list(spec, "rates"), _spec_list(spec, "jumps", required=False)
         )
-        model = spec.get("model")
-        if not isinstance(model, str):
-            raise ParseError("limit spec is missing the coupling 'model'")
         report = multi_poisson_limit_check(ps, model, args.schedule, args.order)
     else:
-        model = spec.get("model")
-        if not isinstance(model, str):
-            raise ParseError("limit spec is missing the coupling 'model'")
         if "base" not in spec:
             raise ParseError("limit spec is missing the 'base' functional")
         base = functional_from_dict(spec["base"])
@@ -315,30 +323,10 @@ def _cmd_limit(args):
         rates = _spec_list(spec, "rates")
         ps = PoissonSpec.of(rates)
         report = compound_limit_check(base, ps, model, args.schedule, args.order)
-    if args.json:
-        _emit_json(report.to_json_dict())
-    else:
-        _emit(report.to_text())
-    return 0
+    return _report(report, args)
 
 
 # -- infdiv -----------------------------------------------------------------
-
-
-def _infdiv_text(v):
-    lines = [
-        "%s at degree %d (dimension %d, rank %d)"
-        % (v.verdict, v.degree, v.dimension, v.rank)
-    ]
-    for word, pivot in v.pivot_trace:
-        lines.append("  pivot [%s] = %s" % (word, pivot))
-    if v.witness is not None:
-        combo = " + ".join("(%s)*[%s]" % (c, w) for w, c in v.witness)
-        lines.append("  witness %s" % combo)
-        lines.append("  form value %s < 0: not divisible at this degree" % v.witness_value)
-    else:
-        lines.append("  no obstruction up to this degree (evidence, not proof)")
-    return "\n".join(lines)
 
 
 def _cmd_infdiv(args):
@@ -348,11 +336,7 @@ def _cmd_infdiv(args):
     verdict = check_infdiv(
         table, k=args.vars, degree=args.degree, tolerance=args.tolerance
     )
-    if args.json:
-        _emit_json(verdict.to_json_dict())
-    else:
-        _emit(_infdiv_text(verdict))
-    return 0
+    return _report(verdict, args)
 
 
 # -- fock -------------------------------------------------------------------
@@ -368,24 +352,10 @@ def _read_cumulants(path):
 
 
 def _cmd_fock(args):
-    from .fock import build_fock_model, levy_n_max, verify_levy_axioms
+    from .fock import check_levy_law
 
-    if args.order < 1:
-        raise ValidationError("order must be >= 1, got %d" % args.order)
-    cf = _read_cumulants(args.infile)
-    need = 2 * args.order + 1
-    if cf.order < need:
-        raise ValidationError(
-            "verifying at order %d needs a table of order >= %d, file has %d"
-            % (args.order, need, cf.order)
-        )
-    model = build_fock_model(cf, args.order, levy_n_max(args.order))
-    report = verify_levy_axioms(model, args.order)
-    if args.json:
-        _emit_json(report.to_json_dict())
-    else:
-        _emit(report.to_text())
-    return 0
+    report = check_levy_law(args.order, lambda need: _read_cumulants(args.infile))
+    return _report(report, args)
 
 
 # -- approx -----------------------------------------------------------------
@@ -395,22 +365,7 @@ def _cmd_approx(args):
     from .limits import poisson_approximation
 
     cf = _read_cumulants(args.target)
-    result = poisson_approximation(cf, args.j, order=args.order)
-    if args.json:
-        _emit_json(result.to_json_dict())
-    else:
-        lines = [result.report.to_text()]
-        flagged = [
-            str(j)
-            for j, ok in zip(result.schedule, result.base_gram_psd)
-            if not ok
-        ]
-        if flagged:
-            lines.append(
-                "note: base law not positive at j = %s" % ", ".join(flagged)
-            )
-        _emit("\n".join(lines))
-    return 0
+    return _report(poisson_approximation(cf, args.j, order=args.order), args)
 
 
 # -- run --------------------------------------------------------------------
@@ -477,52 +432,24 @@ def build_parser():
     model = sub.add_parser("model", help="build a standard law")
     msub = model.add_subparsers(dest="ctor", required=True)
 
-    p = msub.add_parser("semicircle")
-    p.add_argument("--radius", type=_rational, default=Fraction(2))
-    p.add_argument("--order", type=int, default=8)
-    p.add_argument("--name")
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_model)
-
-    p = msub.add_parser("semicircle_family")
-    p.add_argument(
-        "--cov", type=_matrix, required=True, help="rows ';', entries ','"
-    )
-    p.add_argument("--order", type=int, default=8)
-    p.add_argument("--names", type=_name_list)
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_model)
-
-    p = msub.add_parser("free_poisson")
-    p.add_argument("--rate", type=_rational, default=Fraction(1))
-    p.add_argument("--jump", type=_rational, default=Fraction(1))
-    p.add_argument("--order", type=int, default=8)
-    p.add_argument("--name")
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_model)
-
-    p = msub.add_parser("compound_free_poisson")
-    p.add_argument("--rate", type=_rational, default=Fraction(1))
-    p.add_argument("--base", required=True, metavar="FILE")
-    p.add_argument("--order", type=int, default=None)
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_model)
-
-    p = msub.add_parser("projection")
-    p.add_argument("--trace", type=_rational, default=Fraction(1, 2))
-    p.add_argument("--order", type=int, default=8)
-    p.add_argument("--name")
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_model)
-
-    p = msub.add_parser("bernoulli")
-    p.add_argument("--trace", type=_rational, default=Fraction(1, 2))
-    p.add_argument("--up", type=_rational, default=Fraction(1))
-    p.add_argument("--down", type=_rational, default=Fraction(-1))
-    p.add_argument("--order", type=int, default=8)
-    p.add_argument("--name")
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_model)
+    for ctor, (_, var, params) in CONSTRUCTORS.items():
+        p = msub.add_parser(ctor)
+        if ctor == "semicircle_family":
+            p.add_argument(
+                "--cov", type=_matrix, required=True, help="rows ';', entries ','"
+            )
+        for flag, _, default in params:
+            p.add_argument("--" + flag, type=_rational, default=default)
+        compound = ctor == "compound_free_poisson"
+        if compound:
+            p.add_argument("--base", required=True, metavar="FILE")
+        p.add_argument("--order", type=int, default=None if compound else 8)
+        if var:
+            p.add_argument("--name")
+        elif ctor == "semicircle_family":
+            p.add_argument("--names", type=_name_list)
+        _add_output_flags(p)
+        p.set_defaults(handler=_cmd_model)
 
     p = sub.add_parser("limit", help="finite-size laws against their limits")
     p.add_argument("kind", choices=("poisson", "multi", "compound"))

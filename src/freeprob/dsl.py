@@ -26,20 +26,14 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import models
+from .cli import CONSTRUCTORS
 from .errors import FreeprobError, ParseError, ValidationError
 from .freeness import free_product
 from .functionals import MomentFunctional, moments_to_cumulants
 from .infdiv import check_infdiv
 from .jsonio import functional_to_dict
 from .limits import poisson_limit_check
-from .models import (
-    bernoulli,
-    compound_free_poisson,
-    free_poisson,
-    projection_functional,
-    semicircle,
-    semicircle_family,
-)
 
 ENV_ORDER_CAP = "FREEPROB_ORDER_CAP"
 DEFAULT_ORDER = 6
@@ -55,27 +49,6 @@ STATEMENT_KEYWORDS = (
     "levy_check",
     "limit",
 )
-CONSTRUCTORS = (
-    "semicircle",
-    "semicircle_family",
-    "free_poisson",
-    "compound_free_poisson",
-    "projection",
-    "bernoulli",
-)
-
-
-# one-variable constructors: (function, ((parameter, default), ...)); the
-# function takes its parameters in this order, then the order and the name
-_ONE_VARIABLE_CTORS = {
-    "semicircle": (semicircle, (("radius", Fraction(2)),)),
-    "free_poisson": (free_poisson, (("lambda", Fraction(1)), ("alpha", Fraction(1)))),
-    "projection": (projection_functional, (("t", Fraction(1, 2)),)),
-    "bernoulli": (
-        bernoulli,
-        (("t", Fraction(1, 2)), ("alpha", Fraction(1)), ("beta", Fraction(-1))),
-    ),
-}
 
 
 class DslSyntaxError(ParseError):
@@ -703,28 +676,34 @@ class Session:
         if len(set(names)) != len(names):
             raise DslEvalError("repeated name in let")
         ctor = stmt.ctor
-        if ctor in _ONE_VARIABLE_CTORS:
-            fn, defaults = _ONE_VARIABLE_CTORS[ctor]
-            params = _positional_names(stmt.args, tuple(p for p, _ in defaults), ctor)
-            values = tuple(
-                _want_rational(params.get(p, RatVal(d)), p) for p, d in defaults
+        if ctor not in CONSTRUCTORS:
+            raise DslEvalError(
+                "unknown constructor %r (one of %s)" % (ctor, ", ".join(CONSTRUCTORS))
             )
+        fn, var, table = CONSTRUCTORS[ctor]
+        keys = tuple(key for _, key, _ in table)
+        extra = {"semicircle_family": ("cov",), "compound_free_poisson": ("base",)}
+        params = _positional_names(stmt.args, keys + extra.get(ctor, ()), ctor)
+        values = tuple(
+            _want_rational(params.get(key, RatVal(Fraction(d))), key)
+            for _, key, d in table
+        )
+        if var:
             self._expect_arity(names, 1, ctor)
-            fn(*values, 1, name=names[0])  # bad values fail here, not at a query
-            self._bind_group(names, lambda order: fn(*values, order, name=names[0]))
+            getattr(models, fn)(*values, 1, name=names[0])  # bad values fail here
+            self._bind_group(
+                names, lambda order: getattr(models, fn)(*values, order, name=names[0])
+            )
         elif ctor == "semicircle_family":
-            params = _positional_names(stmt.args, ("cov",), ctor)
             if "cov" not in params:
                 raise DslEvalError("semicircle_family needs a covariance matrix")
             rows = self._matrix(params["cov"])
             self._expect_arity(names, len(rows), ctor)
             self._bind_group(
                 names,
-                lambda order: semicircle_family(rows, order, names=names),
+                lambda order: models.semicircle_family(rows, order, names=names),
             )
-        elif ctor == "compound_free_poisson":
-            params = _positional_names(stmt.args, ("lambda", "base"), ctor)
-            lam = _want_rational(params.get("lambda", RatVal(Fraction(1))), "lambda")
+        else:
             if "base" not in params:
                 raise DslEvalError("compound_free_poisson needs base variables")
             base_names = self._ref_list(params["base"])
@@ -732,15 +711,11 @@ class Session:
             letters = tuple(base_group.letter(n) for n in base_names)
             self._expect_arity(names, len(base_names), ctor)
 
-            def builder(order, lam=lam, group=base_group, letters=letters):
+            def builder(order, group=base_group, letters=letters):
                 base = group.functional(order).restrict(letters)
-                return compound_free_poisson(lam, base).relabel(names)
+                return models.compound_free_poisson(*values, base).relabel(names)
 
             self._bind_group(names, builder)
-        else:
-            raise DslEvalError(
-                "unknown constructor %r (one of %s)" % (ctor, ", ".join(CONSTRUCTORS))
-            )
         return EvalResult(stmt, "let", None, "bound %s" % ", ".join(names))
 
     @staticmethod
@@ -867,7 +842,7 @@ class Session:
                 "infdiv %s at degree %d" % (verdict.verdict, degree),
             )
         if stmt.kind == "levy_check":
-            from .fock import build_fock_model, levy_n_max, verify_levy_axioms
+            from .fock import check_levy_law
 
             params = _positional_names(stmt.args, ("order",), "levy_check")
             order = min(3, self.order)
@@ -875,10 +850,12 @@ class Session:
                 order = _want_int(params["order"], "order")
             if not 1 <= order <= 4:
                 raise DslEvalError("levy_check order must lie in 1..4")
-            need = 2 * order + 1
-            mf = group.functional(need).restrict(letters).relabel(stmt.names)
-            model = build_fock_model(moments_to_cumulants(mf), order, levy_n_max(order))
-            report = verify_levy_axioms(model, order)
+            report = check_levy_law(
+                order,
+                lambda need: moments_to_cumulants(
+                    group.functional(need).restrict(letters).relabel(stmt.names)
+                ),
+            )
             return EvalResult(
                 stmt,
                 "levy_check",

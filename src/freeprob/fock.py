@@ -666,3 +666,20 @@ def verify_levy_axioms(model, order):
     sections.append(_section("semigroup in t", np.concatenate(errors), case, TOL_MOMENTS))
 
     return LevyReport(order, model.summary(), tuple(sections))
+
+
+def check_levy_law(order, cumulants):
+    """The free Levy-process check of a law at ``order``, as the command
+    line and the session language run it: ``cumulants(need)`` returns the
+    law's cumulant table, which must reach order ``need`` = 2 order + 1.
+    It is called only after ``order`` is found valid."""
+    if order < 1:
+        raise ValidationError("order must be >= 1, got %d" % order)
+    need = 2 * order + 1
+    cf = cumulants(need)
+    if cf.order < need:
+        raise ValidationError(
+            "verifying at order %d needs a table of order >= %d, file has %d"
+            % (order, need, cf.order)
+        )
+    return verify_levy_axioms(build_fock_model(cf, order, levy_n_max(order)), order)

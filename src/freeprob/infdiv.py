@@ -362,6 +362,22 @@ class InfdivVerdict:
             out["witness"] = None
         return out
 
+    def to_text(self):
+        lines = [
+            "%s at degree %d (dimension %d, rank %d)"
+            % (self.verdict, self.degree, self.dimension, self.rank)
+        ]
+        lines += ["  pivot [%s] = %s" % pair for pair in self.pivot_trace]
+        if self.witness is not None:
+            combo = " + ".join("(%s)*[%s]" % (c, w) for w, c in self.witness)
+            lines.append("  witness %s" % combo)
+            lines.append(
+                "  form value %s < 0: not divisible at this degree" % self.witness_value
+            )
+        else:
+            lines.append("  no obstruction up to this degree (evidence, not proof)")
+        return "\n".join(lines)
+
 
 def check_infdiv(functional, k=None, degree=1, tolerance=0):
     """Run the divisibility certificate on a moment or cumulant table."""

@@ -332,6 +332,13 @@ class PoissonApproximation:
         out["base_gram_psd"] = list(self.base_gram_psd)
         return out
 
+    def to_text(self):
+        flagged = [str(j) for j, ok in zip(self.schedule, self.base_gram_psd) if not ok]
+        if not flagged:
+            return self.report.to_text()
+        note = "note: base law not positive at j = %s" % ", ".join(flagged)
+        return self.report.to_text() + "\n" + note
+
 
 def poisson_approximation(target_cf, schedule, order=None):
     """Approximate a cumulant functional by compound free Poisson laws:
