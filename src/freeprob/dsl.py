@@ -690,7 +690,8 @@ class Session:
         )
         if var:
             self._expect_arity(names, 1, ctor)
-            getattr(models, fn)(*values, 1, name=names[0])  # bad values fail here
+            # bad values fail at the let, not at a query
+            getattr(models, fn)(*values, 1, name=names[0])
             self._bind_group(
                 names, lambda order: getattr(models, fn)(*values, order, name=names[0])
             )
