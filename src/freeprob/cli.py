@@ -22,6 +22,7 @@ are deterministic for identical inputs.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 
@@ -494,8 +495,16 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # argparse takes -1/2 for an option: a rational flag gets it as --down=-1/2
+    flags = {"--" + f for _, _, ps in CONSTRUCTORS.values() for f, _, _ in ps}
+    flags.add("--tolerance")
+    words = []
+    for word in sys.argv[1:] if argv is None else argv:
+        if words and words[-1] in flags and re.fullmatch(r"-\d+/\d+", word):
+            words[-1] += "=" + word
+        else:
+            words.append(word)
+    args = build_parser().parse_args(words)
     try:
         return args.handler(args)
     except ParseError as exc:

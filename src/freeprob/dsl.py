@@ -700,6 +700,7 @@ class Session:
                 raise DslEvalError("semicircle_family needs a covariance matrix")
             rows = self._matrix(params["cov"])
             self._expect_arity(names, len(rows), ctor)
+            models.semicircle_family(rows, 1, names=names)
             self._bind_group(
                 names,
                 lambda order: models.semicircle_family(rows, order, names=names),
@@ -716,6 +717,7 @@ class Session:
                 base = group.functional(order).restrict(letters)
                 return models.compound_free_poisson(*values, base).relabel(names)
 
+            builder(1)
             self._bind_group(names, builder)
         return EvalResult(stmt, "let", None, "bound %s" % ", ".join(names))
 

@@ -1,11 +1,11 @@
 """The lattice of non-crossing partitions of {1, ..., n}.
 
 A partition is stored canonically: blocks ordered by their minimum, elements
-ascending inside each block.  The partial order is refinement, the join is
-the non-crossing closure of the set-partition join, and the Mobius function
-is Kreweras's product formula: mu(p, q) multiplies one signed Catalan number
-per block of the relative Kreweras complement of p in q, read off the cycles
-of one permutation in a single pass.  All values are exact integers.
+ascending inside each block; the order is refinement.  One walk, over the
+cycles of P^-1 gamma, serves validation, join and Mobius: Biane's criterion
+counts its cycles, the Kreweras complement it reads reverses the order and
+so turns a join into a meet, and mu(p, q) is Kreweras's product of signed
+Catalan numbers over its cycle sizes.  All values are exact integers.
 
 Every listing is one pruned merge search over the blocks of a partition,
 whose cost follows the answer: an interval [p, q] is the non-crossing merges
@@ -97,25 +97,42 @@ def _block_index(n, blocks):
     return idx
 
 
-def _find_crossing_pair(n, blocks):
-    # Stack scan: walking left to right, a block may only resume while it is
-    # the innermost open one.  Linear in n once the block index is built.
-    idx = _block_index(n, blocks)
-    remaining = [len(b) for b in blocks]
-    stack = []
-    opened = [False] * len(blocks)
-    for pos in range(1, n + 1):
-        b = idx[pos]
-        if opened[b]:
-            if stack[-1] != b:
-                return (min(b, stack[-1]), max(b, stack[-1]))
-        else:
-            opened[b] = True
-            stack.append(b)
-        remaining[b] -= 1
-        while stack and remaining[stack[-1]] == 0:
-            stack.pop()
-    return None
+def _kreweras(n, blocks, top):
+    """The one walk of the lattice: with P the blocks and gamma those of
+    ``top`` as increasing cycles, each point's label is the least point of
+    its cycle of P^-1 gamma (index 0 unused), and the sizes follow in that
+    order.  Blocks refining a non-crossing top cross nothing iff len(blocks)
+    + len(sizes) == n + len(top), and the cycles are then the blocks of
+    their relative Kreweras complement in top (Biane 1997)."""
+    back = [0] * (n + 1)  # P^-1
+    for b in blocks:
+        back[b[0]] = b[-1]
+        for x, y in zip(b, b[1:]):
+            back[y] = x
+    step = [0] * (n + 1)  # P^-1 gamma, which keeps to each block of top
+    for w in top:
+        step[w[-1]] = back[w[0]]
+        for x, y in zip(w, w[1:]):
+            step[x] = back[y]
+    label, sizes = [0] * (n + 1), []
+    for start in range(1, n + 1):
+        m, x = 0, start
+        while not label[x]:
+            label[x] = start
+            m += 1
+            x = step[x]
+        if m:
+            sizes.append(m)
+    return label, sizes
+
+
+def _top(n):
+    """The blocks of 1_n: one block, or none at n = 0."""
+    return (tuple(range(1, n + 1)),) if n else ()
+
+
+def _crosses(n, canon):
+    return len(canon) + len(_kreweras(n, canon, _top(n))[1]) != n + (n > 0)
 
 
 def is_noncrossing(blocks):
@@ -125,8 +142,7 @@ def is_noncrossing(blocks):
     number of elements; anything else raises StructuralError.
     """
     n = sum(len(tuple(b)) for b in blocks)
-    canon = _canonical_blocks(n, blocks)
-    return _find_crossing_pair(n, canon) is None
+    return not _crosses(n, _canonical_blocks(n, blocks))
 
 
 class NcPartition:
@@ -141,7 +157,7 @@ class NcPartition:
     def __init__(self, n, blocks):
         _check_order(n)
         canon = _canonical_blocks(n, blocks)
-        if _find_crossing_pair(n, canon) is not None:
+        if _crosses(n, canon):
             raise StructuralError("crossing blocks: %r" % (canon,))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "blocks", canon)
@@ -190,7 +206,7 @@ def singletons(n):
 def full(n):
     """The maximum of NC(n): one block (no block for n = 0)."""
     _check_order(n)
-    return NcPartition._trusted(n, (tuple(range(1, n + 1)),) if n else ())
+    return NcPartition._trusted(n, _top(n))
 
 
 @lru_cache(maxsize=None)
@@ -240,46 +256,23 @@ def leq(p, q):
 def join(p, q):
     """Least upper bound of p and q in NC(n).
 
-    Computed as the set-partition join followed by repeatedly merging any
-    two blocks that cross; the scan that finds a crossing pair is the same
-    stack walk used for validation.
+    The Kreweras complement K reverses the order of NC(n): K(p v q) is the
+    blockwise intersection of K(p) and K(q), and K^-1 is K followed by the
+    rotation x -> x + 1 mod n.  Three walks, each linear in n.
     """
     _check_same_ground(p, q)
     n = p.n
-    parent = list(range(n + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
-    for part in (p, q):
-        for block in part.blocks:
-            for x in block[1:]:
-                union(block[0], x)
-
+    top = _top(n)
+    kp = _kreweras(n, p.blocks, top)[0]
+    kq = _kreweras(n, q.blocks, top)[0]
     groups = {}
     for x in range(1, n + 1):
-        groups.setdefault(find(x), []).append(x)
-    blocks = sorted((tuple(b) for b in groups.values()), key=lambda b: b[0])
-
-    # close under merging crossing pairs
-    while True:
-        crossing = _find_crossing_pair(n, blocks)
-        if crossing is None:
-            break
-        i, j = crossing
-        merged = tuple(sorted(blocks[i] + blocks[j]))
-        blocks = [b for k, b in enumerate(blocks) if k not in (i, j)]
-        blocks.append(merged)
-        blocks.sort(key=lambda b: b[0])
-    return NcPartition._trusted(n, tuple(blocks))
+        groups.setdefault(kp[x] * (n + 1) + kq[x], []).append(x)
+    k = _kreweras(n, groups.values(), top)[0]
+    groups = {}
+    for x, c in zip(range(1, n + 1), k[n:] + k[1:n]):
+        groups.setdefault(c, []).append(x)
+    return NcPartition._trusted(n, tuple(map(tuple, groups.values())))
 
 
 def meet(p, q):
@@ -298,35 +291,17 @@ def mobius(p, q):
     """Mobius function mu(p, q) of the non-crossing partition lattice.
 
     Exact integer; raises DomainError when p is not a refinement of q
-    (the function is undefined there, not zero).  With P the blocks of p
-    as increasing cycles and gamma the blocks of q as increasing cycles,
-    the cycles of P^-1 gamma are the blocks of the relative Kreweras
-    complement of p in q, and mu(p, q) is the product of the signed
-    Catalan numbers (-1)^(m-1) C_(m-1) over their sizes m (Kreweras 1972;
-    Nica-Speicher, Lect. 9-10).  One pass, linear in n: nothing is listed
-    or cached, so no size of p or q raises CapacityError.
+    (the function is undefined there, not zero).  The product of signed
+    Catalan numbers (-1)^(m-1) C_(m-1) over the block sizes m of the
+    relative Kreweras complement of p in q (Kreweras 1972; Nica-Speicher,
+    Lect. 9-10): one walk, linear in n, so no size raises CapacityError.
     """
     _check_same_ground(p, q)
     if not leq(p, q):
         raise DomainError("mobius undefined: %s is not below %s" % (p, q))
-    back = [0] * (p.n + 1)  # P^-1
-    for b in p.blocks:
-        for x, y in zip(b, b[1:] + b[:1]):
-            back[y] = x
-    step = [0] * (p.n + 1)  # P^-1 gamma, which keeps to each block of q
-    for w in q.blocks:
-        for x, y in zip(w, w[1:] + w[:1]):
-            step[x] = back[y]
-    seen = [False] * (p.n + 1)
     result = 1
-    for start in range(1, p.n + 1):
-        m, x = 0, start
-        while not seen[x]:
-            seen[x] = True
-            m += 1
-            x = step[x]
-        if m:
-            result *= (-1) ** (m - 1) * catalan_number(m - 1)
+    for m in _kreweras(p.n, p.blocks, q.blocks)[1]:
+        result *= (-1) ** (m - 1) * catalan_number(m - 1)
     return result
 
 

@@ -126,6 +126,12 @@ def test_nc_mobius_refuses_beyond_the_cap(capsys):
     assert out == "mobius(%s, %s) = -9694845\n" % (bottom, top)  # -C_15
 
 
+def test_nc_mobius_refuses_a_crossing_partition(capsys):
+    for flag in ("--pi", "--sigma"):
+        code, out, err = run_cli(capsys, "nc", "mobius", "4", flag, "1 3|2 4")
+        assert (code, out, err) == (1, "", "error: crossing blocks: ((1, 3), (2, 4))\n")
+
+
 def test_nc_mobius_table_checks_the_listing_before_building_one_n(capsys, monkeypatch):
     with pytest.raises(CapacityError, match="cap"):
         partitions._check_listing(10**9)
@@ -228,6 +234,15 @@ def test_model_family_and_projection(capsys):
         capsys, "model", "projection", "--trace", "1/3", "--order", "3"
     )
     assert "phi(p p p) = 1/3" in out
+
+
+def test_negative_rational_flag_values(capsys):
+    # argparse alone would read -1/2 as an option and exit 2
+    for ctor, flag in (("bernoulli", "--down"), ("free_poisson", "--jump")):
+        spaced = run_cli(capsys, "model", ctor, flag, "-1/2", "--order", "3")
+        joined = run_cli(capsys, "model", ctor, flag + "=-1/2", "--order", "3")
+        default = run_cli(capsys, "model", ctor, "--order", "3")
+        assert spaced == joined and spaced[0] == 0 and spaced != default
 
 
 def test_model_writes_file(tmp_path, capsys):
@@ -629,6 +644,17 @@ def test_run_error_codes(tmp_path, capsys, monkeypatch):
         code, _, err = run_cli(capsys, "run", str(bad_value))
         assert code == 1
         assert source in err
+
+    # the laws of several variables are built at the let too
+    bad_value.write_text(
+        "let x = free_poisson()\nlet c = compound_free_poisson(lambda=-1, base=x)\n"
+    )
+    code, out, err = run_cli(capsys, "run", str(bad_value))
+    message = "error: let c = compound_free_poisson(lambda=-1, base=x): rate must be positive\n"
+    assert (code, out, err) == (1, "", message)
+    bad_value.write_text("let s, t = semicircle_family(cov=((1, 2), (3, 4)))\n")
+    code, out, err = run_cli(capsys, "run", str(bad_value))
+    assert (code, out, err) == (1, "", "error: covariance matrix not symmetric at (0, 1)\n")
 
     script = tmp_path / "fine.fp"
     script.write_text("phi(1)\n")

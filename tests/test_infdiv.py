@@ -132,6 +132,19 @@ def test_psd_certificate_tolerance():
     assert strict.witness_value < -F(1, 10000)
 
 
+def test_psd_certificate_tries_the_pair_after_one_at_minus_tolerance():
+    # budget: 10 ms.  At tolerance 1 the pair search meets a pair of value
+    # exactly -1 (not below -tol) before the failing pair of value -33/20
+    g = [[F(4, 5), F(6, 5), F(7, 5)], [F(6, 5), F(4, 5), F(0)], [F(7, 5), F(0), F(4, 5)]]
+    cert = psd_certificate(g, 1)
+    assert not cert.psd
+    assert cert.witness == (F(-7, 4), F(0), F(1))
+    assert cert.witness_value == F(-33, 20)
+    value = sum(vi * g[i][j] * vj for i, vi in enumerate(cert.witness)
+                for j, vj in enumerate(cert.witness))
+    assert value == F(-33, 20)
+
+
 def test_is_psd_accepts_gram_wrapper():
     cf = moments_to_cumulants(semicircle(2, 4))
     assert is_psd(gram_matrix(cf, degree=2))
